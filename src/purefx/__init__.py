@@ -8,10 +8,10 @@ changing any prediction.
 
 from .bins import FeatureBins, bin_index
 from .density import (DensitySpec, dataset_from_csv, density_from_dict,
-                      density_to_json, estimate_density, required_subsets)
+                      density_to_json, estimate_density)
 from .engine import (ConvergenceReport, PurityReport, WeightDensity,
                      check_purity, purify_model, purify_tensor,
-                     slice_weighted_mean, unpurified_mass)
+                     required_subsets, unpurified_mass)
 from .errors import (DegenerateSliceError, DomainError, NonConvergenceError,
                      UnsupportedTreeError)
 from .generators import (gen_boolean_fig1, gen_log_lambda, gen_multiplicative,
@@ -33,8 +33,7 @@ __all__ = [
     "gen_boolean_fig1", "gen_log_lambda", "gen_multiplicative",
     "gen_random_bench", "gen_wright", "ingest_ensemble", "model_from_json",
     "model_to_json", "predict", "purify_model", "purify_tensor",
-    "required_subsets",
-    "slice_weighted_mean", "tree_to_tensor", "unpurified_mass",
+    "required_subsets", "tree_to_tensor", "unpurified_mass",
 ]
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import sys
 
 from .density import (DensitySpec, dataset_from_csv, density_to_json,
                       estimate_density)
-from .engine import check_purity, purify_model, purify_tensor
+from .engine import MAX_PASSES, check_purity, purify_model, purify_tensor
 from .errors import (DegenerateSliceError, DomainError, NonConvergenceError,
                      UnsupportedTreeError)
 from .generators import (bench_model, gen_boolean_fig1, gen_log_lambda,
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     _model_flags(p)
     _weight_flags(p)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-passes", type=int, default=None)
+    p.add_argument("--max-passes", type=int, default=MAX_PASSES)
     p.add_argument("--strict", action="store_true",
                    help="fail on zero-weight slices instead of skipping them")
     p.add_argument("--out", help="purified model JSON (stdout if omitted)")
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default="uniform", choices=["uniform", "random"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-passes", type=int, default=None)
+    p.add_argument("--max-passes", type=int, default=MAX_PASSES)
     p.add_argument("--out", help="mass trace CSV (stdout if omitted)")
     p.set_defaults(func=_cmd_bench)
 

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bins import bin_index
-from .engine import WeightDensity
+from .engine import WeightDensity, required_subsets
 from .errors import DomainError
 from .model import AdditiveModel, GridDataset, Subset, dumps_canonical
 
@@ -18,16 +17,10 @@ MODES = ("uniform", "empirical", "laplace")
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """Which estimator to use, and the dataset it counts over if it needs one.
-
-    ``laplace_equal_mixture`` switches the Laplace estimator from add-one
-    smoothing of counts (the default) to an equal mixture of the normalized
-    uniform and empirical tables, for sensitivity checks.
-    """
+    """Which estimator to use, and the dataset it counts over if it needs one."""
 
     mode: str
     data: GridDataset | None = None
-    laplace_equal_mixture: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -35,15 +28,6 @@ class DensitySpec:
         if self.mode in ("empirical", "laplace"):
             if self.data is None or len(self.data) == 0:
                 raise DomainError(f"{self.mode} density requires a nonempty dataset")
-
-
-def required_subsets(model: AdditiveModel) -> list[Subset]:
-    """Every effect subset plus everything reachable by removing features."""
-    out: set[Subset] = set()
-    for u in model.effects:
-        for r in range(len(u) + 1):
-            out.update(itertools.combinations(u, r))
-    return sorted(out, key=lambda u: (len(u), u))
 
 
 def _coerce(model: AdditiveModel, name: str, value):
@@ -101,12 +85,7 @@ def estimate_density(model: AdditiveModel, spec: DensitySpec) -> WeightDensity:
             if t.sum() <= 0:
                 raise DomainError(f"empirical weights for {u}: no rows counted")
         else:
-            if spec.laplace_equal_mixture:
-                counts = _counts(model, u, cols)
-                t = 0.5 * np.ones(shape) / max(1, int(np.prod(shape))) \
-                    + 0.5 * counts / counts.sum()
-            else:
-                t = _counts(model, u, cols) + 1.0
+            t = _counts(model, u, cols) + 1.0
         tables[u] = np.asarray(t, dtype=float) / np.asarray(t, dtype=float).sum()
     return WeightDensity(tables)
 

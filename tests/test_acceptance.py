@@ -112,7 +112,7 @@ def test_acceptance_04_two_step_halving_and_pass_cap():
     report(4, violations == 0 and capped,
            f"M[t+1] <= 0.5*M[t-1] + 1e-10*M[0] on every recorded trace "
            f"({checked} instances, {violations} violations); all terminated "
-           f"within the derived pass cap")
+           f"within the pass budget")
 
 
 def test_acceptance_05_permutation_and_linearity():

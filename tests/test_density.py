@@ -66,15 +66,6 @@ def test_laplace_adds_one_to_every_cell():
                           np.array([[3.0, 2.0], [1.0, 2.0]]) / 8.0)
 
 
-def test_laplace_equal_mixture_variant():
-    data = boolean_rows([(0, 0), (0, 0), (1, 1), (0, 1)])
-    spec = DensitySpec("laplace", data, laplace_equal_mixture=True)
-    w = estimate_density(boolean_model(), spec)
-    expected = 0.5 * np.full((2, 2), 0.25) \
-        + 0.5 * np.array([[0.5, 0.25], [0.0, 0.25]])
-    assert np.allclose(w.table(("x1", "x2")), expected)
-
-
 def test_laplace_is_strictly_positive_even_for_unseen_cells():
     data = boolean_rows([(0, 0)])
     w = estimate_density(boolean_model(), DensitySpec("laplace", data))
