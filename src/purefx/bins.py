@@ -68,16 +68,49 @@ class FeatureBins:
         return 0.5 * (e[cell - 1] + e[cell])
 
 
-def bin_index(bins: FeatureBins, value) -> int:
-    """Return the unique cell containing ``value``."""
+def bin_index(bins: FeatureBins, values):
+    """Cell index of every value in ``values``, an int array of the same shape.
+
+    A single value gives a 0-d result.  Continuous values may be numbers or
+    decimal strings, parsed as by ``float()``; categorical values are labels.
+    A blank, unparseable or non-finite value, or an unknown label, raises a
+    ``DomainError`` naming the feature and the row (the flat position in
+    ``values``).
+    """
     if bins.kind == "categorical":
+        col = np.asarray(values, dtype=object)
+        code = {label: k for k, label in enumerate(bins.labels)}
         try:
-            return bins.labels.index(value)
-        except ValueError:
-            raise DomainError(
-                f"feature {bins.feature_name!r}: unknown label {value!r}"
-            ) from None
-    v = float(value)
-    if not math.isfinite(v):
-        raise DomainError(f"feature {bins.feature_name!r}: non-finite value {value!r}")
-    return int(np.searchsorted(bins.edges, v, side="right"))
+            cells = np.fromiter(map(code.__getitem__, col.flat), np.intp,
+                                count=col.size)
+        except KeyError:
+            row = next(i for i, v in enumerate(col.flat) if v not in code)
+            raise _value_error(bins, row,
+                               f"unknown label {col.flat[row]!r}") from None
+        return cells.reshape(col.shape)[()]
+    try:
+        x = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        _raise_for_first_unparseable(bins, values)
+        raise
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        row = int(bad[0])
+        value = np.asarray(values, dtype=object).flat[row]
+        raise _value_error(bins, row, f"non-finite value {value!r}")
+    return np.searchsorted(bins.edges, x, side="right")
+
+
+def _value_error(bins: FeatureBins, row: int, what: str) -> DomainError:
+    return DomainError(f"feature {bins.feature_name!r}, row {row}: {what}")
+
+
+def _raise_for_first_unparseable(bins: FeatureBins, values):
+    for row, v in enumerate(np.asarray(values, dtype=object).flat):
+        if isinstance(v, str) and not v.strip():
+            raise _value_error(bins, row, "blank value")
+        try:
+            float(v)
+        except (TypeError, ValueError):
+            raise _value_error(bins, row,
+                               f"cannot parse {v!r} as a number") from None

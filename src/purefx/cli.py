@@ -137,12 +137,11 @@ def _cmd_density(args):
 
 def _cmd_predict(args):
     model = _load_model(args)
-    data = dataset_from_csv(args.data)
+    values = predict(model, dataset_from_csv(args.data).columns)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["prediction"])
-    for row in data.rows:
-        writer.writerow([repr(predict(model, row))])
+    writer.writerows([repr(v)] for v in values.tolist())
     _write(buf.getvalue(), args.out)
     return EXIT_OK
 

@@ -30,42 +30,23 @@ class DensitySpec:
                 raise DomainError(f"{self.mode} density requires a nonempty dataset")
 
 
-def _coerce(model: AdditiveModel, name: str, value):
-    b = model.bins[name]
-    if b.kind == "continuous" and isinstance(value, str):
-        if value.strip() == "":
-            raise DomainError(f"feature {name!r}: blank value")
-        try:
-            value = float(value)
-        except ValueError:
-            raise DomainError(
-                f"feature {name!r}: cannot parse {value!r} as a number"
-            ) from None
-    return value
-
-
 def bin_dataset(model: AdditiveModel, data: GridDataset) -> dict[str, np.ndarray]:
     """Cell index of every row for every model feature present in the data."""
     cols = {}
-    for name in model.bins:
+    for name, b in model.bins.items():
         if name not in data.columns:
             raise DomainError(f"dataset is missing model feature {name!r}")
-        cols[name] = np.array(
-            [bin_index(model.bins[name], _coerce(model, name, row[name]))
-             for row in data.rows],
-            dtype=int,
-        )
+        cols[name] = bin_index(b, data.columns[name])
     return cols
 
 
 def _counts(model: AdditiveModel, u: Subset, cols: dict[str, np.ndarray]) -> np.ndarray:
-    shape = tuple(model.bins[name].n_cells for name in u)
-    out = np.zeros(shape)
     if not u:
         return np.asarray(float(len(next(iter(cols.values())))) if cols else 0.0)
-    idx = tuple(cols[name] for name in u)
-    np.add.at(out, idx, 1.0)
-    return out
+    shape = tuple(model.bins[name].n_cells for name in u)
+    flat = np.ravel_multi_index(tuple(cols[name] for name in u), shape)
+    counts = np.bincount(flat, minlength=int(np.prod(shape)))
+    return counts.reshape(shape).astype(float)
 
 
 def estimate_density(model: AdditiveModel, spec: DensitySpec) -> WeightDensity:
@@ -95,13 +76,24 @@ def estimate_density(model: AdditiveModel, spec: DensitySpec) -> WeightDensity:
 # --------------------------------------------------------------------------
 
 def dataset_from_csv(path) -> GridDataset:
-    """Header row of feature names; blank cells are rejected at binning time."""
+    """Header row of feature names, then one row of values per data point.
+
+    Every row must have as many fields as the header; blank lines are
+    skipped.  Cells stay strings until binning parses them.
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DomainError(f"{path}: empty CSV")
-        rows = tuple(dict(r) for r in reader)
-    return GridDataset(tuple(reader.fieldnames), rows)
+        rows = [r for r in reader if r]
+    for i, r in enumerate(rows):
+        if len(r) != len(header):
+            raise DomainError(
+                f"{path}, row {i}: {len(r)} fields, "
+                f"the header has {len(header)}")
+    columns = list(zip(*rows)) or [()] * len(header)
+    return GridDataset(dict(zip(header, columns)))
 
 
 def density_to_dict(w: WeightDensity) -> dict:

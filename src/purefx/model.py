@@ -81,46 +81,44 @@ class AdditiveModel:
     def intercept(self) -> float:
         return float(self.effects[()].values)
 
-    def cell_indices(self, point: dict) -> dict[str, int]:
-        return {name: bin_index(b, point[name]) for name, b in self.bins.items()
-                if name in point}
-
 
 @dataclass(frozen=True)
 class GridDataset:
-    """Rows of feature values; continuous entries real, categorical entries labels."""
+    """Columns of feature values, one per feature name, all the same length.
 
-    columns: Subset
-    rows: tuple[dict, ...]
+    Continuous columns hold numbers or decimal strings, categorical columns
+    hold labels.  The columns are kept as given, not copied.
+    """
+
+    columns: dict[str, object]
 
     def __post_init__(self):
-        cols = tuple(self.columns)
-        rows = tuple(dict(r) for r in self.rows)
-        for i, r in enumerate(rows):
-            for c in cols:
-                if c not in r:
-                    raise DomainError(f"row {i}: missing value for column {c!r}")
+        cols = dict(self.columns)
+        lengths = {name: len(col) for name, col in cols.items()}
+        if len(set(lengths.values())) > 1:
+            raise DomainError(f"columns differ in length: {lengths}")
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(next(iter(self.columns.values()), ()))
 
 
-def predict(model: AdditiveModel, point: dict) -> float:
-    """Sum every effect tensor's entry at the point's cell indices."""
-    total = 0.0
-    cache: dict[str, int] = {}
+def predict(model: AdditiveModel, points: dict) -> float | np.ndarray:
+    """Sum every effect tensor's entry at the cells of ``points``.
+
+    ``points`` maps each feature to one value, giving a float, or to a column
+    of values, giving an array of one prediction per row.  Effects are added
+    in ``model.effects`` order, so every row sums exactly as a one-point call.
+    """
+    cells: dict[str, np.ndarray] = {}
+    for name in dict.fromkeys(name for u in model.effects for name in u):
+        if name not in points:
+            raise DomainError(f"point is missing feature {name!r}")
+        cells[name] = bin_index(model.bins[name], points[name])
+    total = np.zeros(np.shape(next(iter(points.values()), 0.0)))
     for eff in model.effects.values():
-        idx = []
-        for name in eff.vars:
-            if name not in cache:
-                if name not in point:
-                    raise DomainError(f"point is missing feature {name!r}")
-                cache[name] = bin_index(model.bins[name], point[name])
-            idx.append(cache[name])
-        total += float(eff.values[tuple(idx)])
-    return total
+        total = total + eff.values[tuple(cells[name] for name in eff.vars)]
+    return total if total.ndim else float(total)
 
 
 def effect_variance(tensor: EffectTensor, w) -> float:

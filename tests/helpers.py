@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 
 from purefx import (AdditiveModel, EffectTensor, FeatureBins, TreeEnsemble,
-                    TreeNode, WeightDensity, predict)
+                    TreeNode, WeightDensity, predict, required_subsets)
 
 FEATURES = ("f1", "f2", "f3")
 
@@ -61,6 +61,27 @@ def oracle_grid_fanova(values):
     return overall, row, col, inter
 
 
+def oracle_bin(bins, value):
+    """Cell of one value by scanning the edges; a value on an edge goes up."""
+    if bins.kind == "categorical":
+        return bins.labels.index(value)
+    v = float(value)
+    cell = 0
+    for e in bins.edges:
+        if v >= e:
+            cell += 1
+    return cell
+
+
+def oracle_predict(model, point):
+    """One point's prediction, adding entries in ``model.effects`` order."""
+    total = 0.0
+    for u, eff in model.effects.items():
+        total += float(eff.values[tuple(oracle_bin(model.bins[f], point[f])
+                                        for f in u)])
+    return total
+
+
 def tree_eval(node, point):
     while node.value is None:
         v = point[node.feature]
@@ -100,14 +121,21 @@ def random_model(rng, max_features=3, max_order=3, max_cells=8):
     return AdditiveModel(bins, effects)
 
 
+def with_categorical(rng, model):
+    """``model`` plus a categorical feature "c" with a main and a pair effect."""
+    bins = dict(model.bins)
+    bins["c"] = FeatureBins("c", "categorical", labels=("L0", "L1", "L2"))
+    effects = dict(model.effects)
+    for u in (("c",), ("c", sorted(model.bins)[0])):
+        shape = tuple(bins[f].n_cells for f in u)
+        effects[u] = EffectTensor(u, rng.normal(size=shape))
+    return AdditiveModel(bins, effects)
+
+
 def random_density(rng, model, positive=True):
     """Independent random weight tables for every subset the cascade touches."""
-    subsets = set()
-    for u in model.effects:
-        for r in range(len(u) + 1):
-            subsets.update(itertools.combinations(u, r))
     tables = {}
-    for u in subsets:
+    for u in required_subsets(model):
         shape = tuple(model.bins[f].n_cells for f in u)
         t = np.abs(rng.normal(size=shape)) + (0.05 if positive else 0.0)
         tables[u] = t / t.sum()
@@ -115,12 +143,8 @@ def random_density(rng, model, positive=True):
 
 
 def uniform_density(model):
-    subsets = set()
-    for u in model.effects:
-        for r in range(len(u) + 1):
-            subsets.update(itertools.combinations(u, r))
     tables = {}
-    for u in subsets:
+    for u in required_subsets(model):
         shape = tuple(model.bins[f].n_cells for f in u)
         t = np.ones(shape)
         tables[u] = t / t.sum()
@@ -136,7 +160,13 @@ def grid_points(model):
 
 
 def grid_predictions(model):
-    return np.array([predict(model, p) for p in grid_points(model)])
+    """Predictions at ``grid_points``, in order, from one columnar call."""
+    return np.atleast_1d(predict(model, columns(list(grid_points(model)))))
+
+
+def columns(points):
+    """The columns of a list of point dicts that share their features."""
+    return {f: [p[f] for p in points] for f in points[0]}
 
 
 def random_tree(rng, features, thresholds_per_feature=3):

@@ -19,8 +19,9 @@ from purefx import (AdditiveModel, DensitySpec, EffectTensor, FeatureBins,
 from purefx.generators import bench_model, unit_grid_midpoints
 
 from conftest import SCORECARD
-from helpers import (ensemble_eval, grid_predictions, random_ensemble,
-                     random_model, random_points, uniform_density)
+from helpers import (columns, ensemble_eval, grid_predictions,
+                     random_ensemble, random_model, random_points,
+                     uniform_density)
 
 SIGMAS = (1.0, 10.0, 100.0)
 DIMS = (2, 25, 100)
@@ -172,15 +173,12 @@ def test_acceptance_05_permutation_and_linearity():
 
 
 def _sampled_dataset(rng, model, n_rows):
-    names = sorted(model.bins)
-    rows = []
+    cols = {name: [] for name in sorted(model.bins)}
     for _ in range(n_rows):
-        row = {}
-        for name in names:
+        for name, col in cols.items():
             b = model.bins[name]
-            row[name] = b.representative(int(rng.integers(0, b.n_cells)))
-        rows.append(row)
-    return GridDataset(tuple(names), tuple(rows))
+            col.append(b.representative(int(rng.integers(0, b.n_cells))))
+    return GridDataset(cols)
 
 
 def test_acceptance_06_purity_and_preservation():
@@ -283,12 +281,13 @@ def test_acceptance_09_tree_ingestion_exactness():
         points = random_points(rng, feats, 1000)
         truth = np.array([ensemble_eval(ens, p) for p in points])
         scale = 1.0 + np.abs(truth)
-        got = np.array([predict(model, p) for p in points])
+        cols = columns(points)
+        got = predict(model, cols)
         worst_before = max(worst_before,
                            float(np.max(np.abs(got - truth) / scale)))
         if model.bins:
             out, _ = purify_model(model, uniform_density(model))
-            got2 = np.array([predict(out, p) for p in points])
+            got2 = predict(out, cols)
             worst_after = max(worst_after,
                               float(np.max(np.abs(got2 - truth) / scale)))
     ok = worst_before <= 1e-12 and worst_after <= 1e-12

@@ -26,6 +26,13 @@ def test_unknown_label_names_feature_and_label():
         bin_index(b, "green")
 
 
+def test_non_finite_value_names_feature_and_row():
+    b = FeatureBins("x", "continuous", edges=(0.5,))
+    for bad in ("nan", "inf", float("-inf")):
+        with pytest.raises(DomainError, match="'x', row 2: non-finite"):
+            bin_index(b, ["0.1", 0.7, bad])
+
+
 def test_edges_must_increase():
     with pytest.raises(DomainError):
         FeatureBins("x", "continuous", edges=(1.0, 1.0))

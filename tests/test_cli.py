@@ -122,6 +122,37 @@ def test_predict_round_trip_agrees_after_purify(tmp_path):
     assert np.allclose(a, b, atol=1e-10)
 
 
+def test_csv_row_with_wrong_field_count_exits_2(tmp_path):
+    src = tmp_path / "a.json"
+    src.write_text(model_to_json(gen_boolean_fig1("a")))
+    for rows, what in (
+            ("0,1\n1\n", "row 1: 1 fields, the header has 2"),
+            ("0,1\n1,0\n0,1,1\n", "row 2: 3 fields, the header has 2")):
+        data = tmp_path / "rows.csv"
+        data.write_text("x1,x2\n" + rows)
+        for argv in (("purify", "--weights", "empirical"), ("predict",)):
+            res = run_cli(*argv, "--model", str(src), "--data", str(data))
+            assert res.returncode == 2, res.stderr
+            err = json.loads(res.stderr)
+            assert err == {"error": "DomainError",
+                           "message": f"{data}, {what}"}
+
+
+def test_blank_and_unparseable_cells_name_feature_and_row(tmp_path):
+    src = tmp_path / "a.json"
+    src.write_text(model_to_json(gen_boolean_fig1("a")))
+    for cell, what in (("", "blank value"),
+                       ("high", "cannot parse 'high' as a number")):
+        data = tmp_path / "rows.csv"
+        data.write_text(f"x1,x2\n0,1\n1,{cell}\n")
+        for argv in (("purify", "--weights", "empirical"), ("predict",)):
+            res = run_cli(*argv, "--model", str(src), "--data", str(data))
+            assert res.returncode == 2, res.stderr
+            err = json.loads(res.stderr)
+            assert err == {"error": "DomainError",
+                           "message": f"feature 'x2', row 1: {what}"}
+
+
 def test_purify_ingests_ensemble(tmp_path):
     tree = TreeNode(
         feature="x1", threshold=0.5,

@@ -16,8 +16,8 @@ def boolean_model():
 
 
 def boolean_rows(pairs):
-    return GridDataset(("x1", "x2"),
-                       tuple({"x1": a, "x2": b} for a, b in pairs))
+    return GridDataset({"x1": [a for a, _ in pairs],
+                        "x2": [b for _, b in pairs]})
 
 
 def test_required_subsets_of_pair_model():
@@ -87,7 +87,7 @@ def test_counting_modes_require_data():
         with pytest.raises(DomainError):
             DensitySpec(mode)
         with pytest.raises(DomainError):
-            DensitySpec(mode, GridDataset(("x1", "x2"), ()))
+            DensitySpec(mode, GridDataset({"x1": [], "x2": []}))
 
 
 def test_unknown_mode_rejected():
@@ -95,29 +95,34 @@ def test_unknown_mode_rejected():
         DensitySpec("kernel")
 
 
+def test_columns_must_have_equal_length():
+    with pytest.raises(DomainError, match="differ in length"):
+        GridDataset({"x1": [0, 1], "x2": [0]})
+
+
 def test_dataset_missing_feature_column():
-    data = GridDataset(("x1",), ({"x1": 0},))
+    data = GridDataset({"x1": [0]})
     with pytest.raises(DomainError, match="x2"):
         estimate_density(boolean_model(), DensitySpec("empirical", data))
 
 
 def test_blank_continuous_value_rejected():
-    data = GridDataset(("x1", "x2"), ({"x1": "0.1", "x2": ""},))
-    with pytest.raises(DomainError, match="blank"):
+    data = GridDataset({"x1": ["0.1", "0.2"], "x2": ["0.3", " "]})
+    with pytest.raises(DomainError, match="'x2', row 1: blank"):
         estimate_density(boolean_model(), DensitySpec("empirical", data))
 
 
 def test_unparseable_continuous_value_rejected():
-    data = GridDataset(("x1", "x2"), ({"x1": "0.1", "x2": "high"},))
-    with pytest.raises(DomainError, match="high"):
+    data = GridDataset({"x1": ["0.1", "0.2"], "x2": ["0.3", "high"]})
+    with pytest.raises(DomainError, match="'x2', row 1: cannot parse 'high'"):
         estimate_density(boolean_model(), DensitySpec("empirical", data))
 
 
 def test_unknown_categorical_label_rejected():
     bins = {"c": FeatureBins("c", "categorical", labels=("a", "b"))}
     m = AdditiveModel(bins, {("c",): EffectTensor(("c",), np.array([1.0, -1.0]))})
-    data = GridDataset(("c",), ({"c": "z"},))
-    with pytest.raises(DomainError, match="z"):
+    data = GridDataset({"c": ["a", "b", "z"]})
+    with pytest.raises(DomainError, match="'c', row 2: unknown label 'z'"):
         estimate_density(m, DensitySpec("empirical", data))
 
 
@@ -128,7 +133,7 @@ def test_value_on_edge_counts_in_upper_cell():
 
 
 def test_continuous_strings_parse_like_numbers():
-    str_rows = GridDataset(("x1", "x2"), ({"x1": "0.7", "x2": "0.1"},))
+    str_rows = GridDataset({"x1": ["0.7"], "x2": ["0.1"]})
     num_rows = boolean_rows([(0.7, 0.1)])
     a = estimate_density(boolean_model(), DensitySpec("empirical", str_rows))
     b = estimate_density(boolean_model(), DensitySpec("empirical", num_rows))
@@ -139,7 +144,7 @@ def test_dataset_from_csv(tmp_path):
     p = tmp_path / "data.csv"
     p.write_text("x1,x2\n0.1,0.9\n0.8,0.2\n")
     data = dataset_from_csv(p)
-    assert data.columns == ("x1", "x2")
+    assert data.columns == {"x1": ("0.1", "0.8"), "x2": ("0.9", "0.2")}
     assert len(data) == 2
     w = estimate_density(boolean_model(), DensitySpec("empirical", data))
     assert np.array_equal(w.table(("x1", "x2")),

@@ -377,7 +377,7 @@ def test_sparse_cubed_rows_converge():
             effects[u] = EffectTensor(u, rng.normal(size=(cells,) * order))
     m = AdditiveModel(bins, effects)
     rows = np.round(rng.random((20_000, 3)) ** 3, 6)
-    data = GridDataset(names, tuple(dict(zip(names, map(float, r))) for r in rows))
+    data = GridDataset(dict(zip(names, rows.T)))
     w = estimate_density(m, DensitySpec("empirical", data))
     out, reports = purify_model(m, w)
     assert reports[names].passes > 100

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from purefx import (AdditiveModel, DomainError, EffectTensor, FeatureBins,
-                    WeightDensity, effect_variance, gen_boolean_fig1,
-                    model_from_json, model_to_json, predict)
+                    GridDataset, WeightDensity, effect_variance,
+                    gen_boolean_fig1, model_from_json, model_to_json, predict)
+from purefx.density import bin_dataset
 
-from helpers import grid_predictions, random_model
+from helpers import (grid_predictions, oracle_bin, oracle_predict,
+                     random_model, with_categorical)
 
 BOOL_POINTS = [{"x1": a, "x2": b} for a in (0, 1) for b in (0, 1)]
 
@@ -62,6 +64,35 @@ def test_prediction_invariant_to_effect_order():
     a = grid_predictions(m)
     b = grid_predictions(m2)
     assert np.allclose(a, b, rtol=1e-12, atol=0)
+
+
+def test_columns_match_the_loop_oracle():
+    # Values on edges, just below edges and at random; continuous columns as
+    # numpy arrays, lists of floats and lists of decimal strings.
+    rng = np.random.default_rng(23)
+    n = 40
+    for trial in range(60):
+        m = random_model(rng)
+        if trial % 2:
+            m = with_categorical(rng, m)
+        cols = {}
+        for f, b in sorted(m.bins.items()):
+            if b.kind == "categorical":
+                cols[f] = [b.labels[k] for k in rng.integers(0, b.n_cells, n)]
+                continue
+            edges = np.array(b.edges)
+            pool = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                   rng.uniform(-3.0, 3.0, n)])
+            x = rng.choice(pool, size=n)
+            cols[f] = (x, x.tolist(), [repr(v) for v in x.tolist()])[trial % 3]
+        points = [{f: col[i] for f, col in cols.items()} for i in range(n)]
+        want = [oracle_predict(m, p) for p in points]
+        assert predict(m, cols).tolist() == want
+        assert [predict(m, p) for p in points[:3]] == want[:3]
+        binned = bin_dataset(m, GridDataset(cols))
+        for f, col in cols.items():
+            want_cells = [oracle_bin(m.bins[f], v) for v in col]
+            assert binned[f].tolist() == want_cells
 
 
 def test_effect_variance_fig1d_interaction():
