@@ -10,7 +10,7 @@ class DegenerateSliceError(DomainError):
 
 
 class UnsupportedTreeError(DomainError):
-    """A tree has more than two distinct split features on a path."""
+    """A tree splits on more than three distinct features."""
 
 
 class NonConvergenceError(RuntimeError):

@@ -1,8 +1,11 @@
-"""Ingestion of dumped tree ensembles (stumps and depth-2 trees) into effect tensors."""
+"""Ingestion of dumped tree ensembles into effect tensors.
+
+Trees may have any depth, as long as each splits on at most three distinct
+features; a tree over k features becomes one k-dimensional tensor.
+"""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -12,6 +15,10 @@ import numpy as np
 from .bins import FeatureBins
 from .errors import DomainError, UnsupportedTreeError
 from .model import AdditiveModel, EffectTensor, dumps_canonical
+
+# Each tree becomes one dense tensor over its split features, whose size is
+# the product of their cell counts; purefx models hold effects of order <= 3.
+MAX_TREE_FEATURES = 3
 
 
 @dataclass(frozen=True)
@@ -62,27 +69,20 @@ def evaluate_ensemble(ensemble: TreeEnsemble, point: dict) -> float:
 
 
 def tree_features(node: TreeNode, index: int = 0) -> tuple[str, ...]:
-    """Sorted distinct split features; errors if a path sees more than two."""
+    """Sorted distinct split features; errors past ``MAX_TREE_FEATURES``."""
     seen: set[str] = set()
-    _check_depth(node, index, ())
-    _collect(node, seen)
-    return tuple(sorted(seen))
-
-
-def _collect(node: TreeNode, seen: set[str]):
-    if not node.is_leaf:
-        seen.add(node.feature)
-        _collect(node.left, seen)
-        _collect(node.right, seen)
-
-
-def _check_depth(node: TreeNode, index: int, path: tuple[str, ...]):
-    if node.is_leaf:
-        return
-    if len(path) >= 2:
-        raise UnsupportedTreeError(f"tree {index}: a path has more than two splits")
-    for child in (node.left, node.right):
-        _check_depth(child, index, path + (node.feature,))
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if not n.is_leaf:
+            seen.add(n.feature)
+            stack += [n.left, n.right]
+    feats = tuple(sorted(seen))
+    if len(feats) > MAX_TREE_FEATURES:
+        raise UnsupportedTreeError(
+            f"tree {index} splits on {len(feats)} distinct features "
+            f"{list(feats)}; at most {MAX_TREE_FEATURES} are supported")
+    return feats
 
 
 def collect_bins(ensemble: TreeEnsemble) -> dict[str, FeatureBins]:
@@ -117,10 +117,13 @@ def collect_bins(ensemble: TreeEnsemble) -> dict[str, FeatureBins]:
 
 def tree_to_tensor(tree: TreeNode, bins: dict[str, FeatureBins],
                    index: int = 0) -> EffectTensor:
-    """Tabulate the tree's leaf value on the global grid of its split features.
+    """Tabulate the tree's leaf values on the global grid of its split features.
 
-    A tree splitting one feature twice yields a 1-D tensor; local thresholds
-    broadcast exactly onto the (finer) global bins.
+    Each leaf covers an axis-aligned box of grid cells: the descent keeps one
+    boolean cell mask per feature, and every split narrows its feature's
+    mask.  A tree splitting one feature twice yields a 1-D tensor.  Every
+    threshold must be an edge of its feature's bins (as ``collect_bins``
+    makes them), so each cell lies wholly on one side of every split.
     """
     feats = tree_features(tree, index)
     if not feats:
@@ -128,12 +131,32 @@ def tree_to_tensor(tree: TreeNode, bins: dict[str, FeatureBins],
     for f in feats:
         if f not in bins:
             raise DomainError(f"tree {index}: no bins for feature {f!r}")
-    shape = tuple(bins[f].n_cells for f in feats)
-    values = np.zeros(shape)
-    for cells in itertools.product(*(range(n) for n in shape)):
-        point = {f: bins[f].representative(c) for f, c in zip(feats, cells)}
-        values[cells] = _walk(tree, point)
+    axis = {f: k for k, f in enumerate(feats)}
+    values = np.zeros(tuple(bins[f].n_cells for f in feats))
+
+    def fill(node: TreeNode, masks: list[np.ndarray]):
+        if node.is_leaf:
+            values[np.ix_(*masks)] = node.value
+            return
+        k = axis[node.feature]
+        left = _left_cells(node, bins[node.feature], index)
+        for child, side in ((node.left, left), (node.right, ~left)):
+            fill(child, masks[:k] + [masks[k] & side] + masks[k + 1:])
+
+    fill(tree, [np.ones(bins[f].n_cells, dtype=bool) for f in feats])
     return EffectTensor(feats, values)
+
+
+def _left_cells(node: TreeNode, bins: FeatureBins, index: int) -> np.ndarray:
+    """Boolean mask of the cells of ``bins`` that ``node`` sends left."""
+    if node.threshold is None:
+        return np.array([label in node.label_set for label in bins.labels])
+    cut = int(np.searchsorted(bins.edges, node.threshold, side="right"))
+    if cut == 0 or bins.edges[cut - 1] != node.threshold:
+        raise DomainError(
+            f"tree {index}: threshold {node.threshold!r} is not a bin edge "
+            f"of feature {node.feature!r}")
+    return np.arange(bins.n_cells) < cut
 
 
 def ingest_ensemble(ensemble: TreeEnsemble) -> AdditiveModel:

@@ -12,6 +12,7 @@ from purefx import (AdditiveModel, EffectTensor, FeatureBins, TreeEnsemble,
                     TreeNode, WeightDensity, predict, required_subsets)
 
 FEATURES = ("f1", "f2", "f3")
+LABELS = ("L0", "L1", "L2")
 
 
 # --------------------------------------------------------------------------
@@ -97,6 +98,24 @@ def ensemble_eval(ensemble, point):
     return ensemble.base_score + sum(tree_eval(t, point) for t in ensemble.trees)
 
 
+def oracle_tree_tensor(tree, bins):
+    """A tree's split features and its value at one representative per cell."""
+    feats = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.value is None:
+            feats.add(node.feature)
+            stack += [node.left, node.right]
+    feats = tuple(sorted(feats))
+    shape = tuple(bins[f].n_cells for f in feats)
+    values = np.zeros(shape)
+    for cells in itertools.product(*(range(n) for n in shape)):
+        point = {f: bins[f].representative(c) for f, c in zip(feats, cells)}
+        values[cells] = tree_eval(tree, point)
+    return feats, values
+
+
 # --------------------------------------------------------------------------
 # Random instances
 # --------------------------------------------------------------------------
@@ -169,33 +188,46 @@ def columns(points):
     return {f: [p[f] for p in points] for f in points[0]}
 
 
-def random_tree(rng, features, thresholds_per_feature=3):
-    """A random tree of depth <= 2 over continuous features."""
+def random_tree(rng, features, thresholds_per_feature=3, max_depth=2,
+                categorical=()):
+    """A random tree of depth <= ``max_depth``.
+
+    Features named in ``categorical`` split on a random proper subset of
+    ``LABELS``; the others split on a threshold from a fixed grid, so trees
+    share thresholds.  The defaults keep the draw order that acceptance 9's
+    inputs depend on: a label set or a deeper split is drawn only when used.
+    """
 
     def leaf():
         return TreeNode(value=float(rng.normal()))
 
     def split(depth):
         f = str(rng.choice(features))
-        thr = float(rng.integers(1, thresholds_per_feature + 1)) / (
-            thresholds_per_feature + 1)
+        if f in categorical:
+            size = int(rng.integers(1, len(LABELS)))
+            test = {"label_set": frozenset(
+                str(x) for x in rng.choice(LABELS, size, replace=False))}
+        else:
+            test = {"threshold": float(rng.integers(
+                1, thresholds_per_feature + 1)) / (thresholds_per_feature + 1)}
         kids = []
         for _ in range(2):
-            if depth < 1 and rng.random() < 0.6:
+            if depth < max_depth - 1 and rng.random() < 0.6:
                 kids.append(split(depth + 1))
             else:
                 kids.append(leaf())
-        return TreeNode(feature=f, threshold=thr, left=kids[0], right=kids[1])
+        return TreeNode(feature=f, left=kids[0], right=kids[1], **test)
 
     if rng.random() < 0.1:
         return leaf()
     return split(0)
 
 
-def random_ensemble(rng, max_trees=50, n_features=3):
+def random_ensemble(rng, max_trees=50, n_features=3, max_depth=2):
     features = FEATURES[:n_features]
     n = int(rng.integers(1, max_trees + 1))
-    trees = tuple(random_tree(rng, features) for _ in range(n))
+    trees = tuple(random_tree(rng, features, max_depth=max_depth)
+                  for _ in range(n))
     return TreeEnsemble(trees=trees, base_score=float(rng.normal()))
 
 

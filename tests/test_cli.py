@@ -169,6 +169,31 @@ def test_purify_ingests_ensemble(tmp_path):
                        np.array([[0.25, -0.25], [-0.25, 0.25]]), atol=1e-12)
 
 
+def test_purify_ensemble_tree_feature_limit(tmp_path):
+    def split(f, thr, left, right):
+        return TreeNode(feature=f, threshold=thr, left=left, right=right)
+
+    def leaf(v):
+        return TreeNode(value=v)
+
+    aba = split("a", 0.5, split("b", 0.5, split("a", 0.25, leaf(1.0),
+                                                leaf(2.0)), leaf(3.0)),
+                leaf(4.0))
+    abcd = split("a", 0.5, split("b", 0.5, split("c", 0.5, split(
+        "d", 0.5, leaf(0.0), leaf(1.0)), leaf(0.0)), leaf(0.0)), leaf(0.0))
+    ens = tmp_path / "ens.json"
+    ens.write_text(ensemble_to_json(TreeEnsemble((aba,))))
+    res = run_cli("purify", "--ensemble", str(ens))
+    assert res.returncode == 0, res.stderr
+    assert set(model_from_json(res.stdout).effects) == {(), ("a",), ("b",),
+                                                        ("a", "b")}
+    ens.write_text(ensemble_to_json(TreeEnsemble((aba, abcd))))
+    res = run_cli("purify", "--ensemble", str(ens))
+    assert res.returncode == 2
+    assert '"error": "UnsupportedTreeError"' in res.stderr
+    assert "tree 1 " in json.loads(res.stderr)["message"]
+
+
 def test_bad_model_json_exits_2():
     res = run_cli("purify", stdin="{not json")
     assert res.returncode == 2

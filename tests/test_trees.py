@@ -6,8 +6,9 @@ from purefx import (DomainError, TreeEnsemble, TreeNode, UnsupportedTreeError,
                     ensemble_to_json, evaluate_ensemble, gen_boolean_fig1,
                     ingest_ensemble, predict, purify_model, tree_to_tensor)
 
-from helpers import (FEATURES, ensemble_eval, grid_points, random_ensemble,
-                     random_points, uniform_density)
+from helpers import (FEATURES, columns, ensemble_eval, grid_points,
+                     oracle_tree_tensor, random_ensemble, random_points,
+                     random_tree, uniform_density)
 
 
 def leaf(v):
@@ -106,18 +107,78 @@ def test_leaf_only_tree_is_an_intercept():
     assert float(t.values) == 3.5
 
 
-def test_depth_three_rejected():
-    deep = TreeNode(
+def chain(features, values):
+    """A tree that splits ``features[0]`` at 0.5, then ``features[1]`` on its
+    left, and so on; every right child is a leaf."""
+    node = leaf(values[-1])
+    for f, v in zip(reversed(features), reversed(values[:-1])):
+        node = TreeNode(feature=f, threshold=0.5, left=node, right=leaf(v))
+    return node
+
+
+def test_four_distinct_features_rejected():
+    deep = chain("abcd", [1.0, 2.0, 3.0, 4.0, 5.0])
+    bins = collect_bins(TreeEnsemble((deep,)))
+    with pytest.raises(UnsupportedTreeError,
+                       match=r"tree 7 .*\['a', 'b', 'c', 'd'\]"):
+        tree_to_tensor(deep, bins, 7)
+    with pytest.raises(UnsupportedTreeError, match="tree 1 "):
+        ingest_ensemble(TreeEnsemble((stump("a", 0.5, 0.0, 1.0), deep)))
+
+
+def test_deep_tree_over_two_features_gives_a_matrix():
+    # a < 0.5 and b < 0.5 splits a again at 0.25: depth 3, features {a, b}
+    tree = TreeNode(
         feature="a", threshold=0.5,
-        left=TreeNode(
-            feature="b", threshold=0.5,
-            left=stump("c", 0.5, 0.0, 1.0),
-            right=leaf(0.0),
-        ),
-        right=leaf(0.0),
+        left=TreeNode(feature="b", threshold=0.5,
+                      left=stump("a", 0.25, 1.0, 2.0), right=leaf(3.0)),
+        right=leaf(4.0),
     )
-    with pytest.raises(UnsupportedTreeError):
-        tree_to_tensor(deep, collect_bins(TreeEnsemble((stump("a", 0.5, 0, 1),))))
+    t = tree_to_tensor(tree, collect_bins(TreeEnsemble((tree,))))
+    assert t.vars == ("a", "b")
+    assert np.array_equal(t.values, np.array([[1.0, 3.0], [2.0, 3.0],
+                                              [4.0, 4.0]]))
+
+
+def test_depth_three_tree_over_three_features_gives_a_cube():
+    tree = chain("abc", [1.0, 2.0, 3.0, 4.0])
+    t = tree_to_tensor(tree, collect_bins(TreeEnsemble((tree,))))
+    assert t.vars == ("a", "b", "c")
+    expected = np.full((2, 2, 2), 1.0)
+    expected[0] = 2.0
+    expected[0, 0] = 3.0
+    expected[0, 0, 0] = 4.0
+    assert np.array_equal(t.values, expected)
+
+
+def test_threshold_off_the_bin_edges_rejected():
+    bins = collect_bins(TreeEnsemble((stump("x", 0.5, 0.0, 1.0),)))
+    for thr in (0.3, 0.7):
+        with pytest.raises(DomainError, match="not a bin edge"):
+            tree_to_tensor(stump("x", thr, 0.0, 1.0), bins)
+
+
+def test_box_fill_matches_the_loop_oracle():
+    unreachable = TreeNode(  # x >= 0.75 is dead below x < 0.5
+        feature="f1", threshold=0.5,
+        left=TreeNode(feature="f1", threshold=0.75,
+                      left=stump("f2", 0.25, 1.0, 2.0), right=leaf(99.0)),
+        right=TreeNode(feature="c", label_set=frozenset({"L1"}),
+                       left=leaf(3.0), right=leaf(4.0)),
+    )
+    rng = np.random.default_rng(5)
+    features = ("f1", "f2", "c")
+    for _ in range(20):
+        trees = (unreachable,) + tuple(
+            random_tree(rng, features, max_depth=4, categorical=("c",))
+            for _ in range(int(rng.integers(1, 20))))
+        bins = collect_bins(TreeEnsemble(trees))
+        for i, tree in enumerate(trees):
+            t = tree_to_tensor(tree, bins, i)
+            feats, values = oracle_tree_tensor(tree, bins)
+            assert t.vars == feats
+            assert np.array_equal(t.values, values)
+    assert 99.0 not in tree_to_tensor(unreachable, bins).values
 
 
 # --------------------------------------------------------------------------
@@ -168,6 +229,21 @@ def test_fig1a_encoded_as_trees_matches_generator():
         assert predict(m, p) == pytest.approx(predict(gen, p), abs=1e-12)
     assert np.array_equal(m.effects[("x1", "x2")].values,
                           gen.effects[("x1", "x2")].values)
+
+
+def test_deep_trees_ingest_exactly_before_and_after_purification():
+    rng = np.random.default_rng(44)
+    for _ in range(10):
+        ens = random_ensemble(rng, max_trees=30, max_depth=4)
+        m = ingest_ensemble(ens)
+        feats = sorted(m.bins) or list(FEATURES)
+        points = random_points(rng, feats, 200)
+        truth = np.array([ensemble_eval(ens, p) for p in points])
+        cols = columns(points)
+        assert np.max(np.abs(predict(m, cols) - truth)) <= 1e-12
+        if m.bins:
+            out, _ = purify_model(m, uniform_density(m))
+            assert np.max(np.abs(predict(out, cols) - truth)) <= 1e-12
 
 
 def test_ingest_then_purify_preserves_predictions():
