@@ -8,8 +8,10 @@ import itertools
 
 import numpy as np
 
-from purefx import (AdditiveModel, EffectTensor, FeatureBins, TreeEnsemble,
-                    TreeNode, WeightDensity, predict, required_subsets)
+from purefx import (AdditiveModel, ConvergenceReport, DegenerateSliceError,
+                    DomainError, EffectTensor, FeatureBins, NonConvergenceError,
+                    TreeEnsemble, TreeNode, WeightDensity, predict,
+                    required_subsets)
 
 FEATURES = ("f1", "f2", "f3")
 LABELS = ("L0", "L1", "L2")
@@ -114,6 +116,86 @@ def oracle_tree_tensor(tree, bins):
         point = {f: bins[f].representative(c) for f, c in zip(feats, cells)}
         values[cells] = tree_eval(tree, point)
     return feats, values
+
+
+def oracle_slice_stats(T, W, wsums):
+    """Trace mass, per-axis slice means and worst |slice mean| of ``T``.
+
+    ``wsums[axis]`` is ``W.sum(axis)``.  A zero-weight slice has mean 0.
+    """
+    WT = W * T
+    mass = 0.0
+    means = []
+    worst = 0.0
+    for axis, wsum in enumerate(wsums):
+        ssum = WT.sum(axis=axis)
+        mass += float((np.asarray(wsum) * np.abs(ssum)).sum())
+        m = np.zeros_like(np.asarray(ssum))
+        np.divide(ssum, wsum, out=m, where=wsum > 0.0)
+        means.append(m)
+        worst = max(worst, float(np.max(np.abs(m))))
+    return mass, means, worst
+
+
+def oracle_purify_subset(tensors, w, u, tol, scale, max_passes, strict):
+    """The full-tensor sweep: rewrite ``T`` and re-reduce it after every axis.
+
+    Same contract as ``engine._purify_subset``; mutates ``tensors``.
+    """
+    T = tensors[u]
+    W = w.table(u)
+    if W.shape != T.shape:
+        raise DomainError(f"weights for {u} have shape {W.shape}, tensor {T.shape}")
+    for k in range(len(u)):
+        sub = u[:k] + u[k + 1:]
+        if not w.covers(sub):
+            raise DomainError(f"no weight table for deposit target {sub}")
+    wsums = [W.sum(axis=axis) for axis in range(W.ndim)]
+    if strict:
+        for axis in reversed(range(len(u))):
+            if not np.all(wsums[axis] > 0.0):
+                raise DegenerateSliceError(
+                    f"zero-weight slice of {u} along {u[axis]!r}")
+
+    mass, means, worst = oracle_slice_stats(T, W, wsums)
+    trace = [(0, mass)]
+    passes = 0
+    while passes < max_passes:
+        passes += 1
+        for axis in reversed(range(len(u))):
+            T = T - np.expand_dims(means[axis], axis)
+            sub = u[:axis] + u[axis + 1:]
+            target = tensors.get(sub)
+            if target is None:
+                target = np.zeros(means[axis].shape)
+            tensors[sub] = target + means[axis]
+            mass, means, worst = oracle_slice_stats(T, W, wsums)
+            trace.append((len(trace), mass))
+        tensors[u] = T
+        if worst <= tol * scale:
+            return ConvergenceReport(u, trace, passes)
+    raise NonConvergenceError(
+        f"tensor {u}: worst slice mean {worst:.3e} above limit "
+        f"{tol * scale:.3e} after {passes} passes",
+        ConvergenceReport(u, trace, passes),
+    )
+
+
+def oracle_purify_model(model, w, tol=1e-12, max_passes=10_000, strict=False):
+    """``purify_model``'s cascade over ``oracle_purify_subset``.
+
+    Returns the purified tensors by subset and the reports.
+    """
+    tensors = {u: np.array(e.values, dtype=float)
+               for u, e in model.effects.items()}
+    scale = max((float(np.max(np.abs(v))) for u, v in tensors.items() if u),
+                default=0.0)
+    reports = {}
+    for order in range(max(map(len, tensors), default=0), 0, -1):
+        for u in sorted(k for k in tensors if len(k) == order):
+            reports[u] = oracle_purify_subset(tensors, w, u, tol, scale,
+                                              max_passes, strict)
+    return tensors, reports
 
 
 # --------------------------------------------------------------------------

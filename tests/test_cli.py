@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from purefx import (TreeEnsemble, TreeNode, ensemble_to_json, gen_boolean_fig1,
+from purefx import (AdditiveModel, EffectTensor, FeatureBins, TreeEnsemble,
+                    TreeNode, ensemble_to_json, gen_boolean_fig1,
                     model_from_json, model_to_json)
 
 
@@ -221,6 +222,25 @@ def test_nonconvergence_exits_3(tmp_path):
                   "--data", str(_skewed_csv(tmp_path)), "--max-passes", "1")
     assert res.returncode == 3
     assert json.loads(res.stderr)["error"] == "NonConvergenceError"
+
+
+def test_cube_nonconvergence_exits_3(tmp_path):
+    rng = np.random.default_rng(47)
+    names = ("x1", "x2", "x3")
+    bins = {n: FeatureBins(n, "continuous", edges=(0.5,)) for n in names}
+    src = tmp_path / "cube.json"
+    src.write_text(model_to_json(AdditiveModel(
+        bins, {names: EffectTensor(names, rng.normal(size=(2, 2, 2)))})))
+    data = tmp_path / "skew.csv"
+    rows = ["x1,x2,x3"] + ["0,0,0"] * 40 + ["1,1,0"] * 5 + ["0,1,1"] * 2
+    data.write_text("\n".join(rows) + "\n")
+    res = run_cli("purify", "--model", str(src), "--weights", "laplace",
+                  "--data", str(data), "--max-passes", "1")
+    assert res.returncode == 3
+    err = json.loads(res.stderr)
+    assert err["error"] == "NonConvergenceError"
+    assert "tensor ('x1', 'x2', 'x3')" in err["message"]
+    assert "after 1 passes" in err["message"]
 
 
 def _skewed_csv(tmp_path):

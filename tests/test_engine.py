@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from purefx import (AdditiveModel, DegenerateSliceError, DensitySpec,
                     purify_model, purify_tensor, unpurified_mass)
 from purefx.generators import bench_model
 
-from helpers import (grid_predictions, oracle_matrix_mass, oracle_slice_means,
-                     random_density, random_model, uniform_density)
+from helpers import (grid_predictions, oracle_matrix_mass, oracle_purify_model,
+                     oracle_purify_subset, oracle_slice_means, random_density,
+                     random_model, uniform_density, with_categorical)
 
 
 def boolean_uniform_density():
@@ -94,6 +96,138 @@ def test_nonconvergence_carries_report():
     assert exc.value.report is not None
     assert exc.value.report.passes == 1
     assert len(exc.value.report.trace) == 3
+
+
+def _cube_model(rng, cells=(4, 5, 3)):
+    names = ("a", "b", "c")
+    bins = {n: FeatureBins(n, "continuous",
+                           edges=tuple(np.arange(1, k, dtype=float)))
+            for n, k in zip(names, cells)}
+    return AdditiveModel(bins, {
+        (): EffectTensor((), np.asarray(float(rng.normal()))),
+        names: EffectTensor(names, rng.normal(size=cells)),
+    })
+
+
+def test_returned_cube_is_pure_by_its_own_values():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        m = _cube_model(rng)
+        w = random_density(rng, m)
+        scale = float(np.max(np.abs(m.effects[("a", "b", "c")].values)))
+        out, report = purify_tensor(m, ("a", "b", "c"), w)
+        assert report.passes > 1
+        means = oracle_slice_means(out.effects[("a", "b", "c")].values,
+                                   w.table(("a", "b", "c")))
+        assert max(abs(x) for x in means) <= 1e-12 * scale
+
+
+def test_cube_nonconvergence_reports_the_recomputed_worst_mean():
+    rng = np.random.default_rng(47)
+    m = _cube_model(rng)
+    w = random_density(rng, m)
+    u = ("a", "b", "c")
+    with pytest.raises(NonConvergenceError) as exc:
+        purify_tensor(m, u, w, max_passes=1)
+    assert exc.value.report.passes == 1
+    assert len(exc.value.report.trace) == 4
+    # The oracle leaves the tensor after its one pass in place.
+    tensors = {k: np.array(e.values) for k, e in m.effects.items()}
+    scale = float(np.max(np.abs(tensors[u])))
+    with pytest.raises(NonConvergenceError):
+        oracle_purify_subset(tensors, w, u, 1e-12, scale, 1, False)
+    worst = max(abs(x) for x in oracle_slice_means(tensors[u], w.table(u)))
+    assert f"worst slice mean {worst:.3e} above limit" in str(exc.value)
+
+
+def _sparse_empirical_density(rng, model, n_rows):
+    """Counts of a few skewed rows: many zero-weight cells and whole slices.
+
+    Continuous rows pile up at the low end of the [-2, 2] edge range, and
+    categorical rows never take the label ``L2``.
+    """
+    cols = {}
+    for name, b in model.bins.items():
+        if b.kind == "categorical":
+            cols[name] = [str(x) for x in rng.choice(b.labels[:2], n_rows)]
+        else:
+            cols[name] = rng.beta(0.5, 3.0, n_rows) * 4.0 - 2.0
+    return estimate_density(model, DensitySpec("empirical", GridDataset(cols)))
+
+
+def _matches_oracle(m, w, strict=False):
+    """``purify_model`` against the full-tensor oracle; None if both raise.
+
+    Per tensor: the same pass count and trace length, values within
+    1e-12 x scale on every cell (zero-weight cells too) and trace masses
+    within 1e-11 x the tensor's initial mass plus 1e-14 x scale.
+    """
+    try:
+        want, want_reports = oracle_purify_model(m, w, strict=strict)
+    except DegenerateSliceError as err:
+        with pytest.raises(DegenerateSliceError, match=re.escape(str(err))):
+            purify_model(m, w, strict=strict)
+        return None
+    out, reports = purify_model(m, w, strict=strict)
+    scale = max((float(np.max(np.abs(e.values)))
+                 for u, e in m.effects.items() if u), default=0.0)
+    assert reports.keys() == want_reports.keys()
+    for u, report in reports.items():
+        ref = want_reports[u]
+        assert report.passes == ref.passes, u
+        assert len(report.trace) == len(ref.trace), u
+        # A target whose deposits arrive already centred starts at a
+        # rounding-level mass, hence the floor relative to scale.
+        bound = 1e-11 * ref.trace[0][1] + 1e-14 * scale
+        for (it, mass), (ref_it, ref_mass) in zip(report.trace, ref.trace):
+            assert it == ref_it
+            assert abs(mass - ref_mass) <= bound, (u, it)
+    assert out.effects.keys() == want.keys()
+    for u, values in want.items():
+        assert np.max(np.abs(out.effects[u].values - values)) <= 1e-12 * scale, u
+    return reports
+
+
+def test_running_sums_match_the_full_tensor_oracle():
+    rng = np.random.default_rng(59)
+    seen = {"zero cells": 0, "zero slices": 0, "strict raised": 0,
+            "strict passed": 0, "categorical": 0, "cube": 0}
+    for case in range(60):
+        m = random_model(rng)
+        if case % 3 == 0:
+            m = with_categorical(rng, m)
+            seen["categorical"] += 1
+        if case % 2:
+            w = random_density(rng, m)
+        else:
+            w = _sparse_empirical_density(rng, m, int(rng.integers(8, 60)))
+        strict = case % 4 >= 2
+        reports = _matches_oracle(m, w, strict)
+        if reports is None:
+            seen["strict raised"] += 1
+            continue
+        seen["strict passed"] += strict
+        tables = [w.table(u) for u in reports]
+        seen["zero cells"] += any(np.any(t == 0.0) for t in tables)
+        seen["zero slices"] += any(np.any(t.sum(axis=a) == 0.0)
+                                   for t in tables for a in range(t.ndim))
+        seen["cube"] += any(len(u) == 3 for u in reports)
+    assert min(seen.values()) >= 3, seen
+
+
+def test_running_sums_match_the_oracle_over_many_passes():
+    # Sparse Beta(3, 3) rows leave thousands of zero-weight cells in a
+    # 16^3 tensor, which then takes 70-230 passes: long enough for
+    # the running sums to drift, and the stop must still land on the
+    # oracle's pass.
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        m = _full_cube_hierarchy(rng, 16)
+        rows = rng.beta(3.0, 3.0, (5000, 3))
+        data = GridDataset(dict(zip(sorted(m.bins), rows.T)))
+        w = estimate_density(m, DensitySpec("empirical", data))
+        reports = _matches_oracle(m, w)
+        assert reports[("x0", "x1", "x2")].passes > 50
 
 
 def test_degenerate_slice_skipped_by_default_and_fatal_in_strict():
@@ -361,21 +495,26 @@ def test_purification_is_scale_equivariant():
                 assert check_purity(raw, w).passed == check_purity(ref, w).passed
 
 
+def _full_cube_hierarchy(rng, cells):
+    """3 features x ``cells`` unit cells, every subset up to order 3, N(0, 1)."""
+    names = ("x0", "x1", "x2")
+    edges = tuple(k / cells for k in range(1, cells))
+    bins = {n: FeatureBins(n, "continuous", edges=edges) for n in names}
+    effects = {(): EffectTensor((), np.asarray(float(rng.normal())))}
+    for order in range(1, 4):
+        for u in itertools.combinations(names, order):
+            effects[u] = EffectTensor(u, rng.normal(size=(cells,) * order))
+    return AdditiveModel(bins, effects)
+
+
 def test_sparse_cubed_rows_converge():
     # 3 features x 50 unit cells, every subset up to order 3 with N(0, 1)
     # values, empirical weights from 20k rows of U**3 drawn after the model.
     # The rows' heavy skew leaves many near-empty cells, so the 3-D tensor
     # contracts slowly and its worst slice mean must still reach the limit.
     names = ("x0", "x1", "x2")
-    cells = 50
-    edges = tuple(k / cells for k in range(1, cells))
     rng = np.random.default_rng(3)
-    bins = {n: FeatureBins(n, "continuous", edges=edges) for n in names}
-    effects = {(): EffectTensor((), np.asarray(float(rng.normal())))}
-    for order in range(1, 4):
-        for u in itertools.combinations(names, order):
-            effects[u] = EffectTensor(u, rng.normal(size=(cells,) * order))
-    m = AdditiveModel(bins, effects)
+    m = _full_cube_hierarchy(rng, 50)
     rows = np.round(rng.random((20_000, 3)) ** 3, 6)
     data = GridDataset(dict(zip(names, rows.T)))
     w = estimate_density(m, DensitySpec("empirical", data))
