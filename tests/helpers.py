@@ -1,7 +1,9 @@
 """Shared test utilities: independent oracles and random instance builders.
 
 The oracles here are deliberately plain-Python loops, separate from the
-vectorized engine code paths they check.
+vectorized engine code paths they check.  The exception is the sweep oracle,
+which is the straightforward full-tensor sweep that the running-sum sweep in
+``engine`` replaced.
 """
 
 import itertools
