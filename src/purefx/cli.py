@@ -15,7 +15,7 @@ import sys
 
 from .density import (DensitySpec, dataset_from_csv, density_to_json,
                       estimate_density)
-from .engine import MAX_PASSES, check_purity, purify_model, purify_tensor
+from .engine import MAX_PASSES, check_purity, purify_model
 from .errors import (DegenerateSliceError, DomainError, NonConvergenceError,
                      UnsupportedTreeError)
 from .generators import (bench_model, gen_boolean_fig1, gen_log_lambda,
@@ -52,9 +52,9 @@ def _read_text(path):
 
 
 def _load_model(args):
-    if getattr(args, "ensemble", None):
+    if args.ensemble:
         return ingest_ensemble(ensemble_from_json(_read_text(args.ensemble)))
-    return model_from_json(_read_text(getattr(args, "model", None)))
+    return model_from_json(_read_text(args.model))
 
 
 def _build_density(model, args):
@@ -70,7 +70,7 @@ def _trace_csv(reports) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["tensor_vars", "iteration", "mass"])
-    for u in sorted(reports, key=lambda u: (-len(u), u)):
+    for u in reports:
         name = ";".join(u)
         for it, mass in reports[u].trace:
             writer.writerow([name, it, repr(mass)])
@@ -121,10 +121,9 @@ def _cmd_gen(args):
 
 def _cmd_bench(args):
     tensor, w = gen_random_bench(args.sigma, args.dims, args.weights, args.seed)
-    model = bench_model(tensor)
-    _, report = purify_tensor(model, ("x1", "x2"), w,
+    _, reports = purify_model(bench_model(tensor), w,
                               tol=args.tol, max_passes=args.max_passes)
-    _write(_trace_csv({("x1", "x2"): report}), args.out)
+    _write(_trace_csv({("x1", "x2"): reports[("x1", "x2")]}), args.out)
     return EXIT_OK
 
 
@@ -146,10 +145,9 @@ def _cmd_predict(args):
     return EXIT_OK
 
 
-def _model_flags(p, ensemble=True):
+def _model_flags(p):
     p.add_argument("--model", help="model JSON path ('-' or omitted reads stdin)")
-    if ensemble:
-        p.add_argument("--ensemble", help="tree-ensemble JSON path (ingested first)")
+    p.add_argument("--ensemble", help="tree-ensemble JSON path (ingested first)")
 
 
 def _weight_flags(p):

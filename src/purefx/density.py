@@ -108,9 +108,3 @@ def density_to_dict(w: WeightDensity) -> dict:
 def density_to_json(w: WeightDensity) -> str:
     return dumps_canonical(density_to_dict(w))
 
-
-def density_from_dict(doc: dict) -> WeightDensity:
-    return WeightDensity(
-        {tuple(s["vars"]): np.array(s["weights"], dtype=float)
-         for s in doc["subsets"]}
-    )

@@ -188,8 +188,10 @@ def _purify_subset(tensors: dict[Subset, np.ndarray], w: WeightDensity, u: Subse
     """Center every slice of ``tensors[u]``, depositing means one order down.
 
     Mutates ``tensors`` in place; lower-order targets are created as zeros
-    when absent.  The sweep works on the deposits, not on the tensor: it
-    keeps the running slice sums ``S[a] = (W * T).sum(a)`` for every axis.
+    when absent.  ``w`` must cover every deposit target: ``purify_model``
+    checks every required subset before it mutates anything.  The sweep
+    works on the deposits, not on the tensor: it keeps the running slice
+    sums ``S[a] = (W * T).sum(a)`` for every axis.
     An axis step takes its means ``m`` from ``S[axis]``, deposits them,
     subtracts ``wsum * m`` from ``S[axis]`` and one weight contraction of
     ``m`` from each other axis's sums, and records the trace mass from
@@ -204,10 +206,6 @@ def _purify_subset(tensors: dict[Subset, np.ndarray], w: WeightDensity, u: Subse
     W = w.table(u)
     if W.shape != T0.shape:
         raise DomainError(f"weights for {u} have shape {W.shape}, tensor {T0.shape}")
-    for k in range(len(u)):
-        sub = u[:k] + u[k + 1:]
-        if not w.covers(sub):
-            raise DomainError(f"no weight table for deposit target {sub}")
     if strict:
         for axis in reversed(range(len(u))):
             if not np.all(W.sum(axis=axis) > 0.0):
@@ -254,30 +252,6 @@ def _purify_subset(tensors: dict[Subset, np.ndarray], w: WeightDensity, u: Subse
     )
 
 
-def _working_tensors(model: AdditiveModel) -> dict[Subset, np.ndarray]:
-    return {u: np.array(e.values, dtype=float) for u, e in model.effects.items()}
-
-
-def _rebuild(model: AdditiveModel, tensors: dict[Subset, np.ndarray]) -> AdditiveModel:
-    effects = {u: EffectTensor(u, v) for u, v in tensors.items()}
-    return AdditiveModel(model.bins, effects)
-
-
-def purify_tensor(model: AdditiveModel, u, w: WeightDensity, tol: float = 1e-12,
-                  max_passes: int = MAX_PASSES, strict: bool = False):
-    """Purify the single tensor ``u``; returns (modified model, report).
-
-    ``tol`` is relative to the model's scale (its largest |effect value|).
-    """
-    u = tuple(u)
-    if u not in model.effects:
-        raise DomainError(f"model has no effect for subset {u}")
-    tensors = _working_tensors(model)
-    report = _purify_subset(tensors, w, u, tol, _scale(tensors), max_passes,
-                            strict)
-    return _rebuild(model, tensors), report
-
-
 def required_subsets(model: AdditiveModel) -> list[Subset]:
     """Every effect subset plus everything reachable by removing features."""
     out: set[Subset] = set()
@@ -289,26 +263,28 @@ def required_subsets(model: AdditiveModel) -> list[Subset]:
 
 def purify_model(model: AdditiveModel, w: WeightDensity, tol: float = 1e-12,
                  max_passes: int = MAX_PASSES, strict: bool = False):
-    """Purify every tensor, highest order first; returns (model, reports).
+    """Purify every tensor of the model; returns (model, reports).
 
-    Subsets of equal order are processed in lexicographic order.  Deposits
-    create missing lower-order tensors, which are then purified in turn; all
-    moved mass ends in the intercept.  ``tol`` is relative to the input
+    The one purification call.  It walks every nonempty required subset
+    once, highest order first and lexicographic within an order; ``reports``
+    is keyed in that order.  The first pass over a tensor creates the
+    lower-order tensors it deposits into, which are then purified in turn;
+    all moved mass ends in the intercept.  ``tol`` is relative to the input
     model's scale (its largest |effect value|).
     """
-    missing = [u for u in required_subsets(model) if not w.covers(u)]
+    required = required_subsets(model)
+    missing = [u for u in required if not w.covers(u)]
     if missing:
         raise DomainError(f"weight density missing subsets: {missing}")
 
-    tensors = _working_tensors(model)
+    tensors = {u: np.array(e.values, dtype=float) for u, e in model.effects.items()}
     scale = _scale(tensors)
     reports: dict[Subset, ConvergenceReport] = {}
-    max_order = max((len(u) for u in tensors), default=0)
-    for order in range(max_order, 0, -1):
-        for u in sorted(k for k in tensors if len(k) == order):
-            reports[u] = _purify_subset(tensors, w, u, tol, scale, max_passes,
-                                        strict)
-    return _rebuild(model, tensors), reports
+    for u in sorted(filter(None, required), key=lambda u: (-len(u), u)):
+        reports[u] = _purify_subset(tensors, w, u, tol, scale, max_passes,
+                                    strict)
+    effects = {u: EffectTensor(u, v) for u, v in tensors.items()}
+    return AdditiveModel(model.bins, effects), reports
 
 
 def check_purity(model: AdditiveModel, w: WeightDensity, tol: float = 1e-10) -> PurityReport:

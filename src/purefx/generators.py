@@ -152,7 +152,7 @@ def gen_random_bench(sigma: float, p: int, weight_mode: str, seed: int):
 def bench_model(tensor: EffectTensor) -> AdditiveModel:
     """Wrap a benchmark matrix in a model with zero mains for purification."""
     p = tensor.values.shape[0]
-    bins = {"x1": unit_grid_bins("x1", max(p, 2)), "x2": unit_grid_bins("x2", max(p, 2))}
+    bins = {"x1": unit_grid_bins("x1", p), "x2": unit_grid_bins("x2", p)}
     return AdditiveModel(bins, {
         ("x1",): EffectTensor(("x1",), np.zeros(p)),
         ("x2",): EffectTensor(("x2",), np.zeros(p)),

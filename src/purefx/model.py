@@ -43,10 +43,6 @@ class EffectTensor:
         object.__setattr__(self, "vars", v)
         object.__setattr__(self, "values", arr)
 
-    @property
-    def order(self) -> int:
-        return len(self.vars)
-
 
 @dataclass(frozen=True)
 class AdditiveModel:

@@ -53,21 +53,6 @@ class TreeEnsemble:
     base_score: float = 0.0
 
 
-def _walk(node: TreeNode, point: dict) -> float:
-    while not node.is_leaf:
-        v = point[node.feature]
-        if node.threshold is not None:
-            go_left = float(v) < node.threshold
-        else:
-            go_left = v in node.label_set
-        node = node.left if go_left else node.right
-    return node.value
-
-
-def evaluate_ensemble(ensemble: TreeEnsemble, point: dict) -> float:
-    return ensemble.base_score + sum(_walk(t, point) for t in ensemble.trees)
-
-
 def tree_features(node: TreeNode, index: int = 0) -> tuple[str, ...]:
     """Sorted distinct split features; errors past ``MAX_TREE_FEATURES``."""
     seen: set[str] = set()

@@ -15,7 +15,7 @@ from purefx import (AdditiveModel, DensitySpec, EffectTensor, FeatureBins,
                     gen_boolean_fig1, gen_log_lambda, gen_multiplicative,
                     gen_random_bench, gen_wright, effect_variance,
                     ingest_ensemble, model_from_json, model_to_json, predict,
-                    purify_model, purify_tensor, unpurified_mass)
+                    purify_model, unpurified_mass)
 from purefx.generators import bench_model, unit_grid_midpoints
 
 from conftest import SCORECARD
@@ -83,8 +83,8 @@ def test_acceptance_03_uniform_one_pass_convergence():
         for seed in range(SEEDS):
             tensor, w = gen_random_bench(sigma, p, "uniform", seed)
             m0 = unpurified_mass(tensor, w)
-            _, rep = purify_tensor(bench_model(tensor), ("x1", "x2"), w,
-                                   max_passes=1)
+            _, reps = purify_model(bench_model(tensor), w, max_passes=1)
+            rep = reps[("x1", "x2")]
             worst = max(worst, rep.final_mass / m0)
     report(3, worst <= 1e-10,
            f"uniform weights converge in one row+column pass over "
@@ -100,7 +100,8 @@ def test_acceptance_04_two_step_halving_and_pass_cap():
         for seed in range(SEEDS):
             tensor, w = gen_random_bench(sigma, p, "random", seed)
             try:
-                _, rep = purify_tensor(bench_model(tensor), ("x1", "x2"), w)
+                _, reps = purify_model(bench_model(tensor), w)
+                rep = reps[("x1", "x2")]
             except Exception:
                 capped = False
                 continue

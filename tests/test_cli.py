@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from purefx import (AdditiveModel, EffectTensor, FeatureBins, TreeEnsemble,
-                    TreeNode, ensemble_to_json, gen_boolean_fig1,
-                    model_from_json, model_to_json)
+from purefx import (AdditiveModel, DensitySpec, EffectTensor, FeatureBins,
+                    TreeEnsemble, TreeNode, dataset_from_csv, ensemble_to_json,
+                    estimate_density, gen_boolean_fig1, gen_random_bench,
+                    model_from_json, model_to_json, purify_model)
+from purefx.generators import bench_model
 
 
 def run_cli(*argv, stdin=""):
@@ -84,6 +86,39 @@ def test_bench_uniform_converges_in_one_pass():
     rows = read_trace(res.stdout)
     masses = {it: mass for _, it, mass in rows}
     assert masses[2] <= 1e-10 * masses[0]
+
+
+def test_cascade_reports_and_traces_follow_one_order(tmp_path):
+    # A lone 3-way effect: the cascade creates and purifies all six lower
+    # subsets, highest order first and lexicographic within an order.
+    rng = np.random.default_rng(61)
+    names = ("a", "b", "c")
+    bins = {n: FeatureBins(n, "continuous", edges=(0.5,)) for n in names}
+    model = AdditiveModel(
+        bins, {names: EffectTensor(names, rng.normal(size=(2, 2, 2)))})
+    src = tmp_path / "cube.json"
+    src.write_text(model_to_json(model))
+    data = tmp_path / "rows.csv"
+    data.write_text("a,b,c\n" + "0,0,0\n" * 5 + "1,1,0\n0,1,1\n")
+    w = estimate_density(model, DensitySpec("laplace", dataset_from_csv(data)))
+    _, reports = purify_model(model, w)
+    order = [("a", "b", "c"), ("a", "b"), ("a", "c"), ("b", "c"),
+             ("a",), ("b",), ("c",)]
+    assert list(reports) == order
+    trace = tmp_path / "trace.csv"
+    res = run_cli("purify", "--model", str(src), "--weights", "laplace",
+                  "--data", str(data), "--out", str(tmp_path / "pure.json"),
+                  "--trace", str(trace))
+    assert res.returncode == 0, res.stderr
+    assert read_trace(trace.read_text()) == [
+        (";".join(u), it, mass) for u in order for it, mass in reports[u].trace]
+
+    res = run_cli("bench", "--dims", "25", "--weights", "random", "--seed", "5")
+    assert res.returncode == 0, res.stderr
+    tensor, w = gen_random_bench(1.0, 25, "random", 5)
+    _, reports = purify_model(bench_model(tensor), w)
+    assert read_trace(res.stdout) == [
+        ("x1;x2", it, mass) for it, mass in reports[("x1", "x2")].trace]
 
 
 def test_check_reports_impure_model(tmp_path):

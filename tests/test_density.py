@@ -3,8 +3,8 @@ import pytest
 
 from purefx import (AdditiveModel, DensitySpec, DomainError, EffectTensor,
                     FeatureBins, GridDataset, dataset_from_csv,
-                    density_from_dict, density_to_json, estimate_density,
-                    purify_model, required_subsets)
+                    density_to_json, estimate_density, purify_model,
+                    required_subsets)
 
 import json
 
@@ -161,10 +161,10 @@ def test_empty_csv_rejected(tmp_path):
 def test_density_json_round_trip():
     data = boolean_rows([(0, 0), (1, 1), (1, 0)])
     w = estimate_density(boolean_model(), DensitySpec("laplace", data))
-    back = density_from_dict(json.loads(density_to_json(w)))
-    assert set(back.tables) == set(w.tables)
-    for u in w.tables:
-        assert np.array_equal(back.table(u), w.table(u))
+    subsets = json.loads(density_to_json(w))["subsets"]
+    assert {tuple(s["vars"]) for s in subsets} == set(w.tables)
+    for s in subsets:
+        assert np.array_equal(np.array(s["weights"]), w.table(s["vars"]))
 
 
 def test_estimated_densities_drive_the_purifier():

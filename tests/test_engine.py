@@ -8,7 +8,7 @@ from purefx import (AdditiveModel, DegenerateSliceError, DensitySpec,
                     DomainError, EffectTensor, FeatureBins, GridDataset,
                     NonConvergenceError, WeightDensity, check_purity,
                     estimate_density, gen_boolean_fig1, gen_random_bench,
-                    purify_model, purify_tensor, unpurified_mass)
+                    purify_model, unpurified_mass)
 from purefx.generators import bench_model
 
 from helpers import (grid_predictions, oracle_matrix_mass, oracle_purify_model,
@@ -26,20 +26,20 @@ def boolean_uniform_density():
 
 
 # --------------------------------------------------------------------------
-# purify_tensor
+# purify_model on a single interaction
 # --------------------------------------------------------------------------
 
 def test_purify_fig1a_interaction_moves_expected_mass():
     m = gen_boolean_fig1("a")
     w = boolean_uniform_density()
-    out, report = purify_tensor(m, ("x1", "x2"), w)
+    out, reports = purify_model(m, w)
     expect = np.array([[-0.25, 0.25], [0.25, -0.25]])
     assert np.allclose(out.effects[("x1", "x2")].values, expect, atol=1e-15)
-    # row means (0, -0.5) went into f1, then column means (+0.25, -0.25) into f2
-    assert np.allclose(out.effects[("x1",)].values, [-0.25, 0.25 - 0.5], atol=1e-15)
-    assert np.allclose(out.effects[("x2",)].values, [-0.25 + 0.25, 0.25 - 0.25],
-                       atol=1e-15)
-    assert report.final_mass <= 1e-15
+    # the cascade ends at row d: zero mains and intercept
+    assert np.allclose(out.effects[("x1",)].values, [0.0, 0.0], atol=1e-15)
+    assert np.allclose(out.effects[("x2",)].values, [0.0, 0.0], atol=1e-15)
+    assert abs(out.intercept) <= 1e-15
+    assert reports[("x1", "x2")].final_mass <= 1e-15
 
 
 def test_purify_already_pure_tensor_is_fixed_point():
@@ -50,9 +50,9 @@ def test_purify_already_pure_tensor_is_fixed_point():
         {("x1", "x2"): EffectTensor(("x1", "x2"), vals)},
     )
     w = boolean_uniform_density()
-    out, report = purify_tensor(m, ("x1", "x2"), w)
+    out, reports = purify_model(m, w)
     assert np.array_equal(out.effects[("x1", "x2")].values, vals)
-    assert report.passes == 1
+    assert reports[("x1", "x2")].passes == 1
 
 
 def test_purify_random_3x3_against_loop_oracle():
@@ -67,8 +67,9 @@ def test_purify_random_3x3_against_loop_oracle():
             ("a", "b"): joint,
             ("a",): joint.sum(axis=1),
             ("b",): joint.sum(axis=0),
+            (): np.asarray(1.0),
         })
-        out, _ = purify_tensor(m, ("a", "b"), w)
+        out, _ = purify_model(m, w)
         means = oracle_slice_means(out.effects[("a", "b")].values, joint)
         assert max(abs(x) for x in means) <= 1e-10
 
@@ -77,7 +78,7 @@ def test_purify_preserves_predictions():
     rng = np.random.default_rng(5)
     m = gen_boolean_fig1("b")
     w = boolean_uniform_density()
-    out, _ = purify_tensor(m, ("x1", "x2"), w)
+    out, _ = purify_model(m, w)
     assert np.allclose(grid_predictions(out), grid_predictions(m), atol=1e-14)
 
 
@@ -85,14 +86,14 @@ def test_purify_missing_subset_errors():
     m = gen_boolean_fig1("a")
     w = WeightDensity({("x1", "x2"): np.full((2, 2), 0.25)})
     with pytest.raises(DomainError):
-        purify_tensor(m, ("x1", "x2"), w)
+        purify_model(m, w)
 
 
 def test_nonconvergence_carries_report():
     tensor, w = gen_random_bench(1.0, 25, "random", seed=3)
     m = bench_model(tensor)
     with pytest.raises(NonConvergenceError) as exc:
-        purify_tensor(m, ("x1", "x2"), w, tol=1e-15, max_passes=1)
+        purify_model(m, w, tol=1e-15, max_passes=1)
     assert exc.value.report is not None
     assert exc.value.report.passes == 1
     assert len(exc.value.report.trace) == 3
@@ -115,8 +116,8 @@ def test_returned_cube_is_pure_by_its_own_values():
         m = _cube_model(rng)
         w = random_density(rng, m)
         scale = float(np.max(np.abs(m.effects[("a", "b", "c")].values)))
-        out, report = purify_tensor(m, ("a", "b", "c"), w)
-        assert report.passes > 1
+        out, reports = purify_model(m, w)
+        assert reports[("a", "b", "c")].passes > 1
         means = oracle_slice_means(out.effects[("a", "b", "c")].values,
                                    w.table(("a", "b", "c")))
         assert max(abs(x) for x in means) <= 1e-12 * scale
@@ -128,7 +129,7 @@ def test_cube_nonconvergence_reports_the_recomputed_worst_mean():
     w = random_density(rng, m)
     u = ("a", "b", "c")
     with pytest.raises(NonConvergenceError) as exc:
-        purify_tensor(m, u, w, max_passes=1)
+        purify_model(m, w, max_passes=1)
     assert exc.value.report.passes == 1
     assert len(exc.value.report.trace) == 4
     # The oracle leaves the tensor after its one pass in place.
@@ -246,7 +247,7 @@ def test_degenerate_slice_skipped_by_default_and_fatal_in_strict():
     report = check_purity(out, w)
     assert report.passed
     with pytest.raises(DegenerateSliceError):
-        purify_tensor(m, ("a", "b"), w, strict=True)
+        purify_model(m, w, strict=True)
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +266,7 @@ def test_mass_fig1a_interaction_matches_loop_oracle():
 def test_mass_of_purified_tensor_is_zero():
     m = gen_boolean_fig1("a")
     w = boolean_uniform_density()
-    out, _ = purify_tensor(m, ("x1", "x2"), w)
+    out, _ = purify_model(m, w)
     assert unpurified_mass(out.effects[("x1", "x2")], w) <= 1e-12
 
 
@@ -376,8 +377,10 @@ def test_uniform_weights_converge_in_one_pass_any_shape():
             ("a", "b"): joint,
             ("a",): joint.sum(axis=1),
             ("b",): joint.sum(axis=0),
+            (): np.asarray(1.0),
         })
-        _, report = purify_tensor(m, ("a", "b"), w, max_passes=1)
+        _, reports = purify_model(m, w, max_passes=1)
+        report = reports[("a", "b")]
         assert report.final_mass <= 1e-10 * report.initial_mass
 
 
@@ -387,8 +390,8 @@ def test_two_step_halving_bound_random_weights():
     for seed in range(30):
         tensor, w = gen_random_bench(10.0, 25, "random", seed)
         m = bench_model(tensor)
-        _, report = purify_tensor(m, ("x1", "x2"), w)
-        masses = [mass for _, mass in report.trace]
+        _, reports = purify_model(m, w)
+        masses = [mass for _, mass in reports[("x1", "x2")].trace]
         m0 = masses[0]
         for t in range(2, len(masses) - 1):
             assert masses[t + 1] <= 0.5 * masses[t - 1] + 1e-10 * m0

@@ -6,7 +6,7 @@ import pytest
 from purefx import (AdditiveModel, DomainError, WeightDensity, check_purity,
                     effect_variance, gen_boolean_fig1, gen_log_lambda,
                     gen_multiplicative, gen_random_bench, gen_wright, predict,
-                    purify_model, purify_tensor, unpurified_mass)
+                    purify_model, unpurified_mass)
 from purefx.generators import (bench_model, unit_grid_bins,
                                unit_grid_midpoints)
 
@@ -225,7 +225,8 @@ def test_bench_uniform_mode_converges_in_one_pass():
             tensor, w = gen_random_bench(sigma, p, "uniform", seed=0)
             m0 = unpurified_mass(tensor, w)
             model = bench_model(tensor)
-            out, report = purify_tensor(model, ("x1", "x2"), w, max_passes=1)
+            _, reports = purify_model(model, w, max_passes=1)
+            report = reports[("x1", "x2")]
             assert report.final_mass <= 1e-10 * m0
             assert report.passes == 1
 
@@ -233,8 +234,8 @@ def test_bench_uniform_mode_converges_in_one_pass():
 def test_bench_random_mode_trace_decreases():
     tensor, w = gen_random_bench(10.0, 25, "random", seed=3)
     model = bench_model(tensor)
-    _, report = purify_tensor(model, ("x1", "x2"), w)
-    masses = [m for _, m in report.trace]
+    _, reports = purify_model(model, w)
+    masses = [m for _, m in reports[("x1", "x2")].trace]
     assert masses[0] > 0
     # most mass moves in the first full pass
     assert masses[2] <= 0.5 * masses[0]

@@ -3,8 +3,8 @@ import pytest
 
 from purefx import (DomainError, TreeEnsemble, TreeNode, UnsupportedTreeError,
                     check_purity, collect_bins, ensemble_from_json,
-                    ensemble_to_json, evaluate_ensemble, gen_boolean_fig1,
-                    ingest_ensemble, predict, purify_model, tree_to_tensor)
+                    ensemble_to_json, gen_boolean_fig1, ingest_ensemble,
+                    predict, purify_model, tree_to_tensor)
 
 from helpers import (FEATURES, columns, ensemble_eval, grid_points,
                      oracle_tree_tensor, random_ensemble, random_points,
@@ -271,7 +271,7 @@ def test_ensemble_json_round_trip():
     back = ensemble_from_json(text)
     assert ensemble_to_json(back) == text
     for p in ({"x1": a, "x2": b} for a in (0.0, 1.0) for b in (0.0, 1.0)):
-        assert evaluate_ensemble(back, p) == evaluate_ensemble(ens, p)
+        assert ensemble_eval(back, p) == ensemble_eval(ens, p)
 
 
 def test_categorical_split_json_round_trip():
@@ -280,8 +280,8 @@ def test_categorical_split_json_round_trip():
     ens = TreeEnsemble((tree,))
     back = ensemble_from_json(ensemble_to_json(ens))
     assert back.trees[0].label_set == frozenset({"a", "b"})
-    assert evaluate_ensemble(back, {"c": "a"}) == 1.0
-    assert evaluate_ensemble(back, {"c": "z"}) == -1.0
+    assert ensemble_eval(back, {"c": "a"}) == 1.0
+    assert ensemble_eval(back, {"c": "z"}) == -1.0
 
 
 def test_split_node_validation():
