@@ -9,17 +9,22 @@ variables, so model predictions never change.  Mass cascades from high-order
 tensors through lower orders and terminates in the intercept.
 
 The sweep is backfitting (Buja, Hastie & Tibshirani 1989) on running partial
-sums.  Per tensor it keeps each axis's weighted slice sums and the deposits
-made along each axis, and updates the sums with one weight contraction per
-other axis instead of rewriting and re-reducing the whole tensor.  The
-tensor is rebuilt from its deposits only to decide the stop, which is exact:
-its worst slice mean is recomputed from the rebuilt tensor, as
+sums.  Per tensor it keeps every axis's weighted slice sums end to end in one
+flat buffer, beside a matching flat vector of slice weights and a flat buffer
+of the deposits made along each axis, so the trace mass and the worst mean
+are each one call over the whole buffer.  An axis step updates the other
+axes' sums with one batched matmul each, over a layout of the weights made
+once per tensor, instead of rewriting and re-reducing the whole tensor.  The
+deposits reach the lower-order targets once, when the tensor's sweep ends.
+The tensor is rebuilt from its deposits only to decide the stop, which is
+exact: its worst slice mean is recomputed from the rebuilt tensor, as
 ``check_purity`` computes it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,36 +123,50 @@ class PurityReport:
         }
 
 
-def _slice_sums(T: np.ndarray, W: np.ndarray) -> list[np.ndarray]:
-    """``(W * T).sum(axis)`` for every axis: the weighted slice sums."""
-    WT = W * T
-    return [np.asarray(WT.sum(axis=axis)) for axis in range(W.ndim)]
+def _views(flat: np.ndarray, shape: tuple[int, ...]) -> list[np.ndarray]:
+    """One view of ``flat`` per axis ``a``, shaped like ``shape`` without ``a``."""
+    views, start = [], 0
+    for axis in range(len(shape)):
+        sub = shape[:axis] + shape[axis + 1:]
+        stop = start + math.prod(sub)
+        views.append(flat[start:stop].reshape(sub))
+        start = stop
+    return views
 
 
-def _slice_weights(W: np.ndarray) -> list[np.ndarray]:
-    """``W.sum(axis)`` for every axis, with 1 in place of each zero.
+def _slice_sums(A: np.ndarray) -> np.ndarray:
+    """``A.sum(axis)`` for every axis, laid end to end in one flat buffer.
+
+    ``_slice_sums(W * T)`` is the weighted slice sums of ``T`` and
+    ``_slice_sums(W)`` its raw slice weights; ``_views`` splits either by axis.
+    """
+    flat = np.empty(sum(A.size // n for n in A.shape))
+    for axis, view in enumerate(_views(flat, A.shape)):
+        A.sum(axis=axis, out=view)
+    return flat
+
+
+def _slice_weights(wsum: np.ndarray) -> np.ndarray:
+    """The raw slice weights ``wsum``, with 1 in place of each zero.
 
     A zero-weight slice holds no mass: its weighted sum is exactly 0 (tensor
     values are finite), so dividing by 1 gives it mean 0, and it neither
     moves anything nor counts toward the mass or the worst mean.
     """
-    return [np.where(wsum > 0.0, wsum, 1.0)
-            for wsum in (W.sum(axis=axis) for axis in range(W.ndim))]
+    return np.where(wsum > 0.0, wsum, 1.0)
 
 
-def _mass(sums, wsums) -> float:
-    """Sum over axes of slice weight times |weighted slice sum|.
+def _mass(sums: np.ndarray, wflat: np.ndarray) -> float:
+    """Slice weight times |weighted slice sum|, over every slice of every axis.
 
     For a matrix that is exactly sum_ij w_ij (|r_i| + |c_j|).
     """
-    return sum(float(np.add.reduce(wsum * np.abs(ssum), axis=None))
-               for ssum, wsum in zip(sums, wsums))
+    return float(wflat @ np.abs(sums))
 
 
-def _worst(sums, wsums) -> float:
+def _worst(sums: np.ndarray, wflat: np.ndarray) -> float:
     """Largest |slice mean|; zero-weight slices have mean 0."""
-    return max((float(np.max(np.abs(ssum / wsum)))
-                for ssum, wsum in zip(sums, wsums)), default=0.0)
+    return float(np.max(np.abs(sums / wflat), initial=0.0))
 
 
 def _scale(tensors) -> float:
@@ -161,16 +180,24 @@ def _pure(worst: float, tol: float, scale: float) -> bool:
     return worst <= tol * scale
 
 
+def _cascade_order(u: Subset):
+    """Sort key of the cascade and the purity report: highest order first,
+    lexicographic within an order."""
+    return (-len(u), u)
+
+
 def unpurified_mass(tensor: EffectTensor, w: WeightDensity) -> float:
     wt = w.table(tensor.vars)
     if wt.shape != tensor.values.shape:
         raise DomainError("weight/tensor shape mismatch")
-    return _mass(_slice_sums(tensor.values, wt), _slice_weights(wt))
+    return _mass(_slice_sums(wt * tensor.values), _slice_weights(_slice_sums(wt)))
 
 
-# The running slice sums drift from the built tensor's own by rounding (about
-# 2e-4 of the limit after 1000 passes over a sparse 32^3 tensor), so the exact
-# check runs on every pass whose running worst mean is within twice the limit.
+# The running slice means drift from the built tensor's own by rounding: by at
+# most 6.2e-3 of the limit over the ~1000 passes before the first check on
+# sparse 32^3 and 50^3 tensors, and by about 2e-4 over one pass after a
+# resync.  So the exact check runs on every pass whose running worst mean is
+# within twice the limit.
 _CHECK_MARGIN = 2.0
 
 
@@ -182,6 +209,40 @@ def _centered(T0: np.ndarray, deposits: list[np.ndarray]) -> np.ndarray:
     return T
 
 
+def _contractions(W: np.ndarray, S: list[np.ndarray]) -> list[list[tuple]]:
+    """Per step axis ``a``, one ``(m_axes, Wt, s)`` per other axis ``j``.
+
+    Subtracting means ``m`` (laid out over every axis but ``a``) along ``a``
+    lowers ``S[j]`` by the sum over axis ``j`` of ``W * m``.  That is one
+    batched matmul ``m.transpose(m_axes)[..., None, :] @ Wt``, with ``Wt``
+    the weights as (batch..., j, a), the batch being the axes other than
+    ``a`` and ``j`` in order, and the result lands in ``s``, ``S[j]`` viewed
+    as (batch..., a).  A transposed view of ``W`` is BLAS-able when ``a`` or
+    ``j`` is its last axis; otherwise the pair's layout is copied once, and
+    ``(a, j)`` and ``(j, a)`` share it, one as the other's inner transpose.
+    """
+    k = W.ndim
+    layouts = {}
+    plans = []
+    for a in range(k):
+        plan = []
+        for j in range(k):
+            if j == a:
+                continue
+            lo, hi = sorted((a, j))
+            batch = [b for b in range(k) if b not in (a, j)]
+            if (lo, hi) not in layouts:
+                layout = W.transpose(batch + [lo, hi])
+                layouts[lo, hi] = (layout if hi == k - 1
+                                   else np.ascontiguousarray(layout))
+            Wt = layouts[lo, hi] if j < a else layouts[lo, hi].swapaxes(-1, -2)
+            m_axes = [x - (x > a) for x in batch + [j]]
+            s = S[j].transpose([x - (x > j) for x in batch + [a]])
+            plan.append((m_axes, Wt, s))
+        plans.append(plan)
+    return plans
+
+
 def _purify_subset(tensors: dict[Subset, np.ndarray], w: WeightDensity, u: Subset,
                    tol: float, scale: float, max_passes: int,
                    strict: bool) -> ConvergenceReport:
@@ -190,66 +251,73 @@ def _purify_subset(tensors: dict[Subset, np.ndarray], w: WeightDensity, u: Subse
     Mutates ``tensors`` in place; lower-order targets are created as zeros
     when absent.  ``w`` must cover every deposit target: ``purify_model``
     checks every required subset before it mutates anything.  The sweep
-    works on the deposits, not on the tensor: it keeps the running slice
-    sums ``S[a] = (W * T).sum(a)`` for every axis.
-    An axis step takes its means ``m`` from ``S[axis]``, deposits them,
-    subtracts ``wsum * m`` from ``S[axis]`` and one weight contraction of
-    ``m`` from each other axis's sums, and records the trace mass from
-    ``S``.  The tensor, ``T0`` minus every axis's accumulated deposits, is
-    built only when the running sums say it may be pure.  The stop is exact:
-    the sweep ends after the first full pass whose built tensor is pure
-    under ``_pure(worst, tol, scale)``, with its worst mean recomputed from
-    that tensor as ``check_purity`` does.  Otherwise the sums are resynced
-    from the built tensor and the sweep goes on.
+    works on the deposits, not on the tensor.  It keeps the running slice
+    sums ``S[a] = (W * T).sum(a)`` of every axis end to end in one flat
+    buffer, with a matching flat vector of slice weights and a third flat
+    buffer of the deposits accumulated along each axis (``_views`` gives the
+    per-axis views of each).  An axis step takes its means ``m`` from
+    ``S[axis]``, adds them to the axis's deposits, subtracts ``wsum * m``
+    from ``S[axis]`` and one batched weight contraction of ``m`` (laid out
+    once per tensor by ``_contractions``) from each other axis's sums, and
+    records the trace mass of the whole buffer.  The tensor, ``T0`` minus
+    every axis's accumulated deposits, is built only when the running sums
+    say it may be pure.  The stop is exact: the sweep ends after the first
+    full pass whose built tensor is pure under ``_pure(worst, tol, scale)``,
+    with its worst mean recomputed from that tensor as ``check_purity``
+    does.  Otherwise the sums are resynced from the built tensor and the
+    sweep goes on.  When the sweep ends, converged or not, each axis's
+    deposits are added to their target once.
     """
     T0 = tensors[u]
     W = w.table(u)
     if W.shape != T0.shape:
         raise DomainError(f"weights for {u} have shape {W.shape}, tensor {T0.shape}")
+    axes = range(len(u))
+    wsum = _slice_sums(W)
     if strict:
-        for axis in reversed(range(len(u))):
-            if not np.all(W.sum(axis=axis) > 0.0):
+        raw = _views(wsum, W.shape)
+        for axis in reversed(axes):
+            if not np.all(raw[axis] > 0.0):
                 raise DegenerateSliceError(
                     f"zero-weight slice of {u} along {u[axis]!r}")
 
-    wsums = _slice_weights(W)
-    axes = list(range(len(u)))
-    rest = [axes[:a] + axes[a + 1:] for a in axes]
-    S = _slice_sums(T0, W)
-    deposits = [np.zeros(ssum.shape) for ssum in S]
-    trace = [(0, _mass(S, wsums))]
+    wflat = _slice_weights(wsum)
+    sums = _slice_sums(W * T0)
+    deposits = np.zeros_like(sums)
+    S, wsums, D = (_views(flat, W.shape) for flat in (sums, wflat, deposits))
+    plans = _contractions(W, S)
+    trace = [(0, _mass(sums, wflat))]
     passes = 0
-    while passes < max_passes:
+    pure = False
+    while not pure and passes < max_passes:
         passes += 1
         # Sweep the last axis first so deposits land in the lexicographically
         # smallest remaining subset first; the converged result is the same
         # for any sweep order.
         for axis in reversed(axes):
             m = S[axis] / wsums[axis]
-            sub = u[:axis] + u[axis + 1:]
-            target = tensors.get(sub)
-            if target is None:
-                target = np.zeros(m.shape)
-            tensors[sub] = target + m
-            deposits[axis] += m
+            D[axis] += m
             S[axis] -= wsums[axis] * m
-            for j in rest[axis]:
-                S[j] -= np.einsum(W, axes, m, rest[axis], rest[j])
-            trace.append((len(trace), _mass(S, wsums)))
-        if _worst(S, wsums) <= _CHECK_MARGIN * tol * scale:
-            T = _centered(T0, deposits)
-            S = _slice_sums(T, W)
-            if _pure(_worst(S, wsums), tol, scale):
-                tensors[u] = T
-                return ConvergenceReport(u, trace, passes)
-    T = _centered(T0, deposits)
+            for m_axes, Wt, s in plans[axis]:
+                s -= (m.transpose(m_axes)[..., None, :] @ Wt)[..., 0, :]
+            trace.append((len(trace), _mass(sums, wflat)))
+        if _worst(sums, wflat) <= _CHECK_MARGIN * tol * scale:
+            T = _centered(T0, D)
+            sums[:] = _slice_sums(W * T)
+            pure = _pure(_worst(sums, wflat), tol, scale)
+    if not pure:
+        T = _centered(T0, D)
     tensors[u] = T
-    worst = _worst(_slice_sums(T, W), wsums)
-    raise NonConvergenceError(
-        f"tensor {u}: worst slice mean {worst:.3e} above limit "
-        f"{tol * scale:.3e} after {passes} passes",
-        ConvergenceReport(u, trace, passes),
-    )
+    for axis in reversed(axes):
+        sub = u[:axis] + u[axis + 1:]
+        tensors[sub] = tensors.get(sub, 0.0) + D[axis]
+    report = ConvergenceReport(u, trace, passes)
+    if not pure:
+        worst = _worst(_slice_sums(W * T), wflat)
+        raise NonConvergenceError(
+            f"tensor {u}: worst slice mean {worst:.3e} above limit "
+            f"{tol * scale:.3e} after {passes} passes", report)
+    return report
 
 
 def required_subsets(model: AdditiveModel) -> list[Subset]:
@@ -280,7 +348,7 @@ def purify_model(model: AdditiveModel, w: WeightDensity, tol: float = 1e-12,
     tensors = {u: np.array(e.values, dtype=float) for u, e in model.effects.items()}
     scale = _scale(tensors)
     reports: dict[Subset, ConvergenceReport] = {}
-    for u in sorted(filter(None, required), key=lambda u: (-len(u), u)):
+    for u in sorted(filter(None, required), key=_cascade_order):
         reports[u] = _purify_subset(tensors, w, u, tol, scale, max_passes,
                                     strict)
     effects = {u: EffectTensor(u, v) for u, v in tensors.items()}
@@ -295,11 +363,11 @@ def check_purity(model: AdditiveModel, w: WeightDensity, tol: float = 1e-10) -> 
     """
     scale = _scale({u: e.values for u, e in model.effects.items()})
     tensors = []
-    for u in sorted((k for k in model.effects if k), key=lambda k: (len(k), k)):
+    for u in sorted(filter(None, model.effects), key=_cascade_order):
         T = model.effects[u].values
         W = w.table(u)
         if W.shape != T.shape:
             raise DomainError(f"weights for {u} have shape {W.shape}, tensor {T.shape}")
-        worst = _worst(_slice_sums(T, W), _slice_weights(W))
+        worst = _worst(_slice_sums(W * T), _slice_weights(_slice_sums(W)))
         tensors.append(TensorPurity(u, worst, _pure(worst, tol, scale)))
     return PurityReport(tol, scale, tensors)

@@ -106,12 +106,18 @@ def test_cascade_reports_and_traces_follow_one_order(tmp_path):
              ("a",), ("b",), ("c",)]
     assert list(reports) == order
     trace = tmp_path / "trace.csv"
+    report = tmp_path / "report.json"
     res = run_cli("purify", "--model", str(src), "--weights", "laplace",
                   "--data", str(data), "--out", str(tmp_path / "pure.json"),
-                  "--trace", str(trace))
+                  "--trace", str(trace), "--report", str(report))
     assert res.returncode == 0, res.stderr
-    assert read_trace(trace.read_text()) == [
+    rows = read_trace(trace.read_text())
+    assert rows == [
         (";".join(u), it, mass) for u in order for it, mass in reports[u].trace]
+    # The report lists the tensors in the trace's order.
+    traced = list(dict.fromkeys(name for name, _, _ in rows))
+    listed = [";".join(t["vars"]) for t in json.loads(report.read_text())["tensors"]]
+    assert listed == traced
 
     res = run_cli("bench", "--dims", "25", "--weights", "random", "--seed", "5")
     assert res.returncode == 0, res.stderr

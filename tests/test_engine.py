@@ -156,6 +156,24 @@ def _sparse_empirical_density(rng, model, n_rows):
     return estimate_density(model, DensitySpec("empirical", GridDataset(cols)))
 
 
+def _four_way_hierarchy(rng):
+    """Every subset of four features with 2, 3, 4 and 5 cells, N(0, 1) values.
+
+    The edges split [-2, 2] evenly, where ``_sparse_empirical_density`` puts
+    its rows.
+    """
+    names = ("x0", "x1", "x2", "x3")
+    bins = {n: FeatureBins(n, "continuous",
+                           edges=tuple(np.linspace(-2.0, 2.0, cells + 1)[1:-1]))
+            for n, cells in zip(names, (2, 3, 4, 5))}
+    effects = {}
+    for order in range(5):
+        for u in itertools.combinations(names, order):
+            shape = tuple(bins[f].n_cells for f in u)
+            effects[u] = EffectTensor(u, rng.normal(size=shape))
+    return AdditiveModel(bins, effects)
+
+
 def _matches_oracle(m, w, strict=False):
     """``purify_model`` against the full-tensor oracle; None if both raise.
 
@@ -214,6 +232,12 @@ def test_running_sums_match_the_full_tensor_oracle():
                                    for t in tables for a in range(t.ndim))
         seen["cube"] += any(len(u) == 3 for u in reports)
     assert min(seen.values()) >= 3, seen
+    # A 2x3x4x5 tensor: its contractions have two batch axes, and its
+    # unequal axes tell each layout's axes apart.
+    m = _four_way_hierarchy(rng)
+    for w in (random_density(rng, m), _sparse_empirical_density(rng, m, 200)):
+        reports = _matches_oracle(m, w)
+        assert reports[("x0", "x1", "x2", "x3")].passes > 10
 
 
 def test_running_sums_match_the_oracle_over_many_passes():
@@ -261,6 +285,26 @@ def test_mass_fig1a_interaction_matches_loop_oracle():
     expected = oracle_matrix_mass(t.values, np.full((2, 2), 0.25))
     assert expected == pytest.approx(0.25)
     assert unpurified_mass(t, w) == pytest.approx(expected)
+
+
+def test_trace_starts_at_the_unpurified_mass():
+    # The sweep's iteration-0 mass and unpurified_mass share one definition,
+    # so they agree exactly on every effect that receives no deposits.
+    rng = np.random.default_rng(67)
+    checked = 0
+    for case in range(20):
+        m = random_model(rng)
+        if case % 2:
+            w = random_density(rng, m)
+        else:
+            w = _sparse_empirical_density(rng, m, int(rng.integers(8, 60)))
+        _, reports = purify_model(m, w)
+        top = max(map(len, m.effects))
+        for u, e in m.effects.items():
+            if u and len(u) == top:
+                assert reports[u].initial_mass == unpurified_mass(e, w), u
+                checked += 1
+    assert checked >= 10
 
 
 def test_mass_of_purified_tensor_is_zero():
