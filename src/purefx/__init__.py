@@ -4,34 +4,41 @@ Converts piecewise-constant additive models (tree-based GAMs with pairwise
 interactions included) into the unique representation in which every effect
 tensor has zero-mean slices under a chosen cell-weight density, without
 changing any prediction.
+
+Public names load their submodule, and numpy with it, on first use, so that
+``purefx.cli`` can configure numpy before anything imports it.
 """
 
-from .bins import FeatureBins, bin_index
-from .density import (DensitySpec, dataset_from_csv, density_to_json,
-                      estimate_density)
-from .engine import (ConvergenceReport, PurityReport, WeightDensity,
-                     check_purity, purify_model, required_subsets,
-                     unpurified_mass)
-from .errors import (DegenerateSliceError, DomainError, NonConvergenceError,
-                     UnsupportedTreeError)
-from .generators import (gen_boolean_fig1, gen_log_lambda, gen_multiplicative,
-                         gen_random_bench, gen_wright)
-from .model import (AdditiveModel, EffectTensor, GridDataset, effect_variance,
-                    model_from_json, model_to_json, predict)
-from .trees import (TreeEnsemble, TreeNode, collect_bins, ensemble_from_json,
-                    ensemble_to_json, ingest_ensemble, tree_to_tensor)
+import importlib
 
-__all__ = [
-    "AdditiveModel", "ConvergenceReport", "DegenerateSliceError", "DensitySpec",
-    "DomainError", "EffectTensor", "FeatureBins", "GridDataset",
-    "NonConvergenceError", "PurityReport", "TreeEnsemble", "TreeNode",
-    "UnsupportedTreeError", "WeightDensity", "bin_index", "check_purity",
-    "collect_bins", "dataset_from_csv", "density_to_json", "effect_variance",
-    "ensemble_from_json", "ensemble_to_json", "estimate_density",
-    "gen_boolean_fig1", "gen_log_lambda", "gen_multiplicative",
-    "gen_random_bench", "gen_wright", "ingest_ensemble", "model_from_json",
-    "model_to_json", "predict", "purify_model", "required_subsets",
-    "tree_to_tensor", "unpurified_mass",
-]
+# Public name -> the submodule that defines it.
+_SUBMODULE = {
+    **dict.fromkeys(("FeatureBins", "bin_index"), "bins"),
+    **dict.fromkeys(("DensitySpec", "dataset_from_csv", "density_to_json",
+                     "estimate_density"), "density"),
+    **dict.fromkeys(("ConvergenceReport", "PurityReport", "WeightDensity",
+                     "check_purity", "purify_model", "required_subsets",
+                     "unpurified_mass"), "engine"),
+    **dict.fromkeys(("DegenerateSliceError", "DomainError",
+                     "NonConvergenceError", "UnsupportedTreeError"), "errors"),
+    **dict.fromkeys(("gen_boolean_fig1", "gen_log_lambda", "gen_multiplicative",
+                     "gen_random_bench", "gen_wright"), "generators"),
+    **dict.fromkeys(("AdditiveModel", "EffectTensor", "GridDataset",
+                     "effect_variance", "model_from_json", "model_to_json",
+                     "predict"), "model"),
+    **dict.fromkeys(("TreeEnsemble", "TreeNode", "collect_bins",
+                     "ensemble_from_json", "ensemble_to_json",
+                     "ingest_ensemble", "tree_to_tensor"), "trees"),
+}
+
+__all__ = sorted(_SUBMODULE)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_SUBMODULE[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value

@@ -11,7 +11,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+
+# Before numpy loads: no BLAS call here gains from OpenBLAS's spinning pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .density import (DensitySpec, dataset_from_csv, density_to_json,
                       estimate_density)

@@ -78,8 +78,9 @@ def estimate_density(model: AdditiveModel, spec: DensitySpec) -> WeightDensity:
 def dataset_from_csv(path) -> GridDataset:
     """Header row of feature names, then one row of values per data point.
 
-    Every row must have as many fields as the header; blank lines are
-    skipped.  Cells stay strings until binning parses them.
+    Feature names must be distinct, and every row must have as many fields
+    as the header; blank lines are skipped.  Cells stay strings until binning
+    parses them.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -87,6 +88,9 @@ def dataset_from_csv(path) -> GridDataset:
         if header is None:
             raise DomainError(f"{path}: empty CSV")
         rows = [r for r in reader if r]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DomainError(f"{path}: feature {name!r} repeats in the header")
     for i, r in enumerate(rows):
         if len(r) != len(header):
             raise DomainError(

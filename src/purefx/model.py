@@ -90,28 +90,36 @@ class GridDataset:
 
     def __post_init__(self):
         cols = dict(self.columns)
-        lengths = {name: len(col) for name, col in cols.items()}
-        if len(set(lengths.values())) > 1:
-            raise DomainError(f"columns differ in length: {lengths}")
+        _check_lengths({name: len(col) for name, col in cols.items()})
         object.__setattr__(self, "columns", cols)
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
 
+def _check_lengths(lengths: dict) -> None:
+    if len(set(lengths.values())) > 1:
+        raise DomainError(f"columns differ in length: {lengths}")
+
+
 def predict(model: AdditiveModel, points: dict) -> float | np.ndarray:
     """Sum every effect tensor's entry at the cells of ``points``.
 
-    ``points`` maps each feature to one value, giving a float, or to a column
-    of values, giving an array of one prediction per row.  Effects are added
-    in ``model.effects`` order, so every row sums exactly as a one-point call.
+    ``points`` maps each feature to one value, giving a float, or each to a
+    column of values of one length, giving an array of one prediction per
+    row.  Effects are added in ``model.effects`` order, so every row sums
+    exactly as a one-point call.
     """
     cells: dict[str, np.ndarray] = {}
     for name in dict.fromkeys(name for u in model.effects for name in u):
         if name not in points:
             raise DomainError(f"point is missing feature {name!r}")
         cells[name] = bin_index(model.bins[name], points[name])
-    total = np.zeros(np.shape(next(iter(points.values()), 0.0)))
+    _check_lengths({name: len(c) if c.ndim else "one value"
+                    for name, c in cells.items()})
+    shape = (next(iter(cells.values())).shape if cells
+             else np.shape(next(iter(points.values()), 0.0)))
+    total = np.zeros(shape)
     for eff in model.effects.values():
         total = total + eff.values[tuple(cells[name] for name in eff.vars)]
     return total if total.ndim else float(total)

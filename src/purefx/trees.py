@@ -195,11 +195,26 @@ def _node_to_dict(node: TreeNode) -> dict:
 
 
 def ensemble_from_json(text: str) -> TreeEnsemble:
+    """Parse ensemble JSON; a malformed tree raises a ``DomainError`` naming it."""
     doc = json.loads(text)
-    return TreeEnsemble(
-        trees=tuple(_node_from_dict(t) for t in doc["trees"]),
-        base_score=float(doc.get("base_score", 0.0)),
-    )
+    trees = doc.get("trees") if isinstance(doc, dict) else None
+    if not isinstance(trees, list):
+        raise DomainError("an ensemble is a JSON object with a list of 'trees'")
+    nodes = []
+    for i, tree in enumerate(trees):
+        try:
+            nodes.append(_node_from_dict(tree))
+        except KeyError as exc:
+            raise DomainError(f"tree {i}: a node lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"tree {i}: {exc}") from None
+    base_score = doc.get("base_score", 0.0)
+    try:
+        base_score = float(base_score)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"base_score must be a number, not {base_score!r}") from None
+    return TreeEnsemble(trees=tuple(nodes), base_score=base_score)
 
 
 def ensemble_to_json(ensemble: TreeEnsemble) -> str:

@@ -180,6 +180,19 @@ def test_csv_row_with_wrong_field_count_exits_2(tmp_path):
                            "message": f"{data}, {what}"}
 
 
+def test_repeated_csv_header_name_exits_2(tmp_path):
+    src = tmp_path / "a.json"
+    src.write_text(model_to_json(gen_boolean_fig1("a")))
+    data = tmp_path / "rows.csv"
+    data.write_text("x1,x1,x2\n0.9,0.8,0\n")
+    for argv in (("purify", "--weights", "empirical"), ("predict",)):
+        res = run_cli(*argv, "--model", str(src), "--data", str(data))
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr) == {
+            "error": "DomainError",
+            "message": f"{data}: feature 'x1' repeats in the header"}
+
+
 def test_blank_and_unparseable_cells_name_feature_and_row(tmp_path):
     src = tmp_path / "a.json"
     src.write_text(model_to_json(gen_boolean_fig1("a")))
@@ -234,6 +247,27 @@ def test_purify_ensemble_tree_feature_limit(tmp_path):
     assert res.returncode == 2
     assert '"error": "UnsupportedTreeError"' in res.stderr
     assert "tree 1 " in json.loads(res.stderr)["message"]
+
+
+SPLIT = {"split": "x1", "threshold": 0.5,
+         "left": {"leaf": 1.0}, "right": {"leaf": 2.0}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"trees": [SPLIT, {"leaf": None}]}, "tree 1: "),
+    ({"trees": [{**SPLIT, "threshold": [0.5]}]}, "tree 0: "),
+    ({"trees": 5}, "an ensemble is a JSON object with a list of 'trees'"),
+    ({"trees": [SPLIT], "base_score": None},
+     "base_score must be a number, not None"),
+])
+def test_malformed_ensemble_json_exits_2(tmp_path, doc, message):
+    ens = tmp_path / "ens.json"
+    ens.write_text(json.dumps(doc))
+    res = run_cli("purify", "--ensemble", str(ens))
+    assert res.returncode == 2, res.stderr
+    err = json.loads(res.stderr)
+    assert err["error"] == "DomainError"
+    assert err["message"].startswith(message)
 
 
 def test_bad_model_json_exits_2():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,16 @@ def test_missing_feature_value_errors():
     m = gen_boolean_fig1("a")
     with pytest.raises(DomainError):
         predict(m, {"x1": 1})
+
+
+@pytest.mark.parametrize("points, lengths", [
+    ({"x1": [0.0], "x2": [0.0, 1.0, 1.0]}, {"x1": 1, "x2": 3}),
+    ({"x1": [0.0, 1.0], "x2": [0.0, 1.0, 1.0]}, {"x1": 2, "x2": 3}),
+    ({"x1": 0.0, "x2": [0.0, 1.0]}, {"x1": "one value", "x2": 2}),
+])
+def test_predict_rejects_columns_of_unequal_length(points, lengths):
+    with pytest.raises(DomainError, match=re.escape(str(lengths))):
+        predict(gen_boolean_fig1("a"), points)
 
 
 def test_prediction_is_exactly_additive():
