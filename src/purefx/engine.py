@@ -329,6 +329,11 @@ def required_subsets(model: AdditiveModel) -> list[Subset]:
     return sorted(out, key=lambda u: (len(u), u))
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tol must be finite and >= 0, not {tol!r}")
+
+
 def purify_model(model: AdditiveModel, w: WeightDensity, tol: float = 1e-12,
                  max_passes: int = MAX_PASSES, strict: bool = False):
     """Purify every tensor of the model; returns (model, reports).
@@ -338,8 +343,12 @@ def purify_model(model: AdditiveModel, w: WeightDensity, tol: float = 1e-12,
     is keyed in that order.  The first pass over a tensor creates the
     lower-order tensors it deposits into, which are then purified in turn;
     all moved mass ends in the intercept.  ``tol`` is relative to the input
-    model's scale (its largest |effect value|).
+    model's scale (its largest |effect value|); it must be finite and >= 0,
+    and ``max_passes`` at least 1.
     """
+    _check_tol(tol)
+    if max_passes < 1:
+        raise DomainError(f"max_passes must be at least 1, not {max_passes}")
     required = required_subsets(model)
     missing = [u for u in required if not w.covers(u)]
     if missing:
@@ -359,8 +368,10 @@ def check_purity(model: AdditiveModel, w: WeightDensity, tol: float = 1e-10) -> 
     """Report the worst absolute weighted slice mean of every non-intercept tensor.
 
     A tensor passes under the sweep's own rule, with ``tol`` relative to this
-    model's scale (its largest |effect value|).
+    model's scale (its largest |effect value|); ``tol`` must be finite and
+    >= 0.
     """
+    _check_tol(tol)
     scale = _scale({u: e.values for u, e in model.effects.items()})
     tensors = []
     for u in sorted(filter(None, model.effects), key=_cascade_order):

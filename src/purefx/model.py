@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,20 +159,44 @@ def model_to_dict(model: AdditiveModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> AdditiveModel:
+    """Build a model from its JSON document.
+
+    A malformed document raises a ``DomainError``; one raised for a feature
+    or effect entry names the entry's index.
+    """
+    if not (isinstance(doc, dict) and isinstance(doc.get("features"), list)
+            and isinstance(doc.get("effects"), list)):
+        raise DomainError(
+            "a model is a JSON object with lists of 'features' and 'effects'")
     bins = {}
-    for f in doc["features"]:
-        if f["kind"] == "continuous":
-            b = FeatureBins(f["name"], "continuous", edges=tuple(f["edges"]))
-        else:
-            b = FeatureBins(f["name"], "categorical", labels=tuple(f["labels"]))
-        bins[f["name"]] = b
+    for i, f in enumerate(doc["features"]):
+        with _entry("feature", i, f):
+            if f["kind"] == "continuous":
+                b = FeatureBins(f["name"], "continuous", edges=tuple(f["edges"]))
+            else:
+                b = FeatureBins(f["name"], f["kind"], labels=tuple(f["labels"]))
+        bins[b.feature_name] = b
     effects = {}
-    for e in doc["effects"]:
-        key = tuple(e["vars"])
-        if key in effects:
-            raise DomainError(f"duplicate effect subset {key}")
-        effects[key] = EffectTensor(key, np.array(e["values"], dtype=float))
+    for i, e in enumerate(doc["effects"]):
+        with _entry("effect", i, e):
+            key = tuple(e["vars"])
+            if key in effects:
+                raise DomainError(f"duplicate effect subset {key}")
+            effects[key] = EffectTensor(key, np.array(e["values"], dtype=float))
     return AdditiveModel(bins, effects)
+
+
+@contextmanager
+def _entry(what: str, index: int, entry):
+    """Raise any error in parsing one JSON entry as a ``DomainError`` naming it."""
+    if not isinstance(entry, dict):
+        raise DomainError(f"{what} {index}: not a JSON object")
+    try:
+        yield
+    except KeyError as exc:
+        raise DomainError(f"{what} {index}: lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} {index}: {exc}") from None
 
 
 def dumps_canonical(doc: dict) -> str:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,15 +8,19 @@ import pytest
 
 from purefx import (AdditiveModel, DensitySpec, EffectTensor, FeatureBins,
                     TreeEnsemble, TreeNode, dataset_from_csv, ensemble_to_json,
-                    estimate_density, gen_boolean_fig1, gen_random_bench,
-                    model_from_json, model_to_json, purify_model)
+                    estimate_density, gen_boolean_fig1, gen_log_lambda,
+                    gen_random_bench, model_from_json, model_to_json,
+                    purify_model)
 from purefx.generators import bench_model
 
+# A child with block-buffered stdout: output that is never flushed is lost.
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
-def run_cli(*argv, stdin=""):
+
+def run_cli(*argv, stdin="", env=None):
     return subprocess.run(
         [sys.executable, "-m", "purefx.cli", *argv],
-        input=stdin, capture_output=True, text=True)
+        input=stdin, capture_output=True, text=True, env=env)
 
 
 def read_trace(text):
@@ -270,6 +275,44 @@ def test_malformed_ensemble_json_exits_2(tmp_path, doc, message):
     assert err["message"].startswith(message)
 
 
+FEATURE = {"name": "x1", "kind": "continuous", "edges": [0.5]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"features": 5, "effects": []}, "a model is a JSON object with lists"),
+    ([1], "a model is a JSON object with lists"),
+    ({"features": [FEATURE], "effects": {"vars": []}},
+     "a model is a JSON object with lists"),
+    ({"features": [FEATURE, 5], "effects": []}, "feature 1: not a JSON object"),
+    ({"features": [{"name": "x1", "kind": "weird", "labels": ["a"]}],
+      "effects": []}, "feature 0: unknown bins kind 'weird'"),
+    ({"features": [FEATURE], "effects": [{"vars": 5, "values": 1.0}]},
+     "effect 0: "),
+    ({"features": [FEATURE], "effects": [{"vars": ["x1"]}]},
+     "effect 0: lacks the key 'values'"),
+])
+def test_malformed_model_json_exits_2(doc, message):
+    res = run_cli("purify", stdin=json.dumps(doc))
+    assert res.returncode == 2, res.stderr
+    err = json.loads(res.stderr)
+    assert err["error"] == "DomainError"
+    assert err["message"].startswith(message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("purify", "--tol", "-1"), "tol must be finite and >= 0, not -1.0"),
+    (("purify", "--tol", "nan"), "tol must be finite and >= 0, not nan"),
+    (("purify", "--max-passes", "0"), "max_passes must be at least 1, not 0"),
+    (("check", "--tol", "nan"), "tol must be finite and >= 0, not nan"),
+])
+def test_bad_tol_or_max_passes_exits_2(tmp_path, argv, message):
+    src = tmp_path / "a.json"
+    src.write_text(model_to_json(gen_boolean_fig1("a")))
+    res = run_cli(*argv, "--model", str(src))
+    assert res.returncode == 2, res.stderr
+    assert json.loads(res.stderr) == {"error": "DomainError", "message": message}
+
+
 def test_bad_model_json_exits_2():
     res = run_cli("purify", stdin="{not json")
     assert res.returncode == 2
@@ -339,3 +382,42 @@ def test_gen_mult_flag(tmp_path):
     assert m.bins["x1"].n_cells == 8
     res = run_cli("gen", "--mult", "0,1,1", "--grid", "8")
     assert res.returncode == 2
+
+
+def test_cli_process_exits_without_interpreter_teardown():
+    # atexit handlers run only in the interpreter's normal exit.
+    code = ("import atexit, runpy, sys; atexit.register(print, 'atexit ran'); "
+            "sys.argv = ['purefx', 'gen', '--fig1-row', 'a']; "
+            "runpy.run_module('purefx.cli', run_name='__main__')")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=BUFFERED_ENV)
+    assert res.returncode == 0, res.stderr
+    # Less than a buffer's worth: it reaches the pipe only by the flush.
+    assert res.stdout == model_to_json(gen_boolean_fig1("a"))
+
+
+def test_buffered_output_is_flushed_before_exit(tmp_path):
+    src = tmp_path / "lam.json"
+    src.write_text(model_to_json(gen_log_lambda(0.5, 64)))
+    out = tmp_path / "pure.json"
+    res = run_cli("purify", "--model", str(src), "--out", str(out),
+                  env=BUFFERED_ENV)
+    assert res.returncode == 0, res.stderr
+    assert out.stat().st_size > 65536  # more than a pipe buffer holds
+    res = run_cli("purify", "--model", str(src), env=BUFFERED_ENV)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == out.read_text()
+
+    res = run_cli("purify", "--model", str(src), "--max-passes", "0",
+                  env=BUFFERED_ENV)
+    assert res.returncode == 2
+    assert json.loads(res.stderr)["error"] == "DomainError"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_stdout_on_a_full_device_exits_nonzero():
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "purefx.cli", "gen", "--fig1-row", "a"],
+            stdout=full, stderr=subprocess.PIPE, env=BUFFERED_ENV)
+    assert res.returncode != 0

@@ -89,6 +89,20 @@ def test_purify_missing_subset_errors():
         purify_model(m, w)
 
 
+def test_bad_tol_or_pass_budget_raises_and_zero_tol_is_legal():
+    m = gen_boolean_fig1("a")
+    w = boolean_uniform_density()
+    out, _ = purify_model(m, w, tol=0.0)
+    assert check_purity(out, w, tol=0.0).passed
+    for bad in (-1e-12, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            purify_model(m, w, tol=bad)
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            check_purity(m, w, tol=bad)
+    with pytest.raises(DomainError, match="max_passes must be at least 1"):
+        purify_model(m, w, max_passes=0)
+
+
 def test_nonconvergence_carries_report():
     tensor, w = gen_random_bench(1.0, 25, "random", seed=3)
     m = bench_model(tensor)
