@@ -1,9 +1,10 @@
 """Shared test utilities: independent oracles and random instance builders.
 
 The oracles here are deliberately plain-Python loops, separate from the
-vectorized engine code paths they check.  The exception is the sweep oracle,
-which is the straightforward full-tensor sweep that the running-sum sweep in
-``engine`` replaced.
+vectorized engine code paths they check.  The exception is the sweep oracle:
+the plain full-tensor sweep, with neither running sums nor Anderson mixing.
+``engine``'s sweep must take its passes until mixing starts, and land on its
+fixed point after that.
 """
 
 import itertools
