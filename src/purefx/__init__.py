@@ -14,7 +14,7 @@ import importlib
 # Public name -> the submodule that defines it.
 _SUBMODULE = {
     **dict.fromkeys(("FeatureBins", "bin_index"), "bins"),
-    **dict.fromkeys(("DensitySpec", "dataset_from_csv", "density_to_json",
+    **dict.fromkeys(("dataset_from_csv", "density_to_json",
                      "estimate_density"), "density"),
     **dict.fromkeys(("ConvergenceReport", "PurityReport", "WeightDensity",
                      "check_purity", "purify_model", "required_subsets",

@@ -56,17 +56,6 @@ class FeatureBins:
             return len(self.edges) + 1
         return len(self.labels)
 
-    def representative(self, cell: int):
-        """A value guaranteed to land in ``cell`` (midpoint where bounded)."""
-        if self.kind == "categorical":
-            return self.labels[cell]
-        e = self.edges
-        if cell == 0:
-            return e[0] - 1.0
-        if cell == len(e):
-            return e[-1] + 1.0
-        return 0.5 * (e[cell - 1] + e[cell])
-
 
 def bin_index(bins: FeatureBins, values):
     """Cell index of every value in ``values``, an int array of the same shape.

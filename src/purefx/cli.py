@@ -17,8 +17,7 @@ import sys
 # Before numpy loads: no BLAS call here gains from OpenBLAS's spinning pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .density import (DensitySpec, dataset_from_csv, density_to_json,
-                      estimate_density)
+from .density import dataset_from_csv, density_to_json, estimate_density
 from .engine import MAX_PASSES, check_purity, purify_model
 from .errors import (DegenerateSliceError, DomainError, NonConvergenceError,
                      UnsupportedTreeError)
@@ -67,7 +66,7 @@ def _build_density(model, args):
         if not args.data:
             raise DomainError(f"--weights {args.weights} requires --data")
         data = dataset_from_csv(args.data)
-    return estimate_density(model, DensitySpec(args.weights, data))
+    return estimate_density(model, args.weights, data)
 
 
 def _trace_csv(reports) -> str:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,21 +12,6 @@ from .errors import DomainError
 from .model import AdditiveModel, GridDataset, Subset, dumps_canonical
 
 MODES = ("uniform", "empirical", "laplace")
-
-
-@dataclass(frozen=True)
-class DensitySpec:
-    """Which estimator to use, and the dataset it counts over if it needs one."""
-
-    mode: str
-    data: GridDataset | None = None
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise DomainError(f"unknown density mode {self.mode!r}")
-        if self.mode in ("empirical", "laplace"):
-            if self.data is None or len(self.data) == 0:
-                raise DomainError(f"{self.mode} density requires a nonempty dataset")
 
 
 def bin_dataset(model: AdditiveModel, data: GridDataset) -> dict[str, np.ndarray]:
@@ -49,19 +33,28 @@ def _counts(model: AdditiveModel, u: Subset, cols: dict[str, np.ndarray]) -> np.
     return counts.reshape(shape).astype(float)
 
 
-def estimate_density(model: AdditiveModel, spec: DensitySpec) -> WeightDensity:
-    """Build normalized weight tables for every subset the purifier will touch."""
+def estimate_density(model: AdditiveModel, mode: str = "uniform",
+                     data: GridDataset | None = None) -> WeightDensity:
+    """Build normalized weight tables for every subset the purifier will touch.
+
+    ``mode`` is one of ``MODES``; ``empirical`` and ``laplace`` count the
+    rows of ``data``, which must be nonempty.
+    """
+    if mode not in MODES:
+        raise DomainError(f"unknown density mode {mode!r}")
     subsets = required_subsets(model)
     cols = None
-    if spec.mode in ("empirical", "laplace"):
-        cols = bin_dataset(model, spec.data)
+    if mode in ("empirical", "laplace"):
+        if data is None or len(data) == 0:
+            raise DomainError(f"{mode} density requires a nonempty dataset")
+        cols = bin_dataset(model, data)
 
     tables: dict[Subset, np.ndarray] = {}
     for u in subsets:
         shape = tuple(model.bins[name].n_cells for name in u)
-        if spec.mode == "uniform":
+        if mode == "uniform":
             t = np.ones(shape)
-        elif spec.mode == "empirical":
+        elif mode == "empirical":
             t = _counts(model, u, cols)
             if t.sum() <= 0:
                 raise DomainError(f"empirical weights for {u}: no rows counted")

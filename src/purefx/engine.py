@@ -15,7 +15,8 @@ of the deposits made along each axis, so the trace mass and the worst mean
 are each one call over the whole buffer.  An axis step updates the other
 axes' sums with one batched matmul each, over a layout of the weights made
 once per tensor, instead of rewriting and re-reducing the whole tensor.  The
-deposits reach the lower-order targets once, when the tensor's sweep ends.
+sweep returns its deposits, and ``purify_model`` adds them to the
+lower-order targets once, when the tensor's sweep ends.
 The tensor is rebuilt from its deposits only to decide the stop, which is
 exact: its worst slice mean is recomputed from the rebuilt tensor, as
 ``check_purity`` computes it.
@@ -207,8 +208,9 @@ def unpurified_mass(tensor: EffectTensor, w: WeightDensity) -> float:
 # The running slice means drift from the built tensor's own by rounding, the
 # mixing's included: by at most 8.3e-3 of the limit over the 84-92 passes
 # before the first check on sparse 32^3 and 50^3 tensors, and by at most
-# 2.3e-4 over one pass after a resync.  So the exact check runs on every
-# pass whose running worst mean is within twice the limit.
+# 1.4e-2 over one pass after a resync, whose mixing reuses differences taken
+# before it.  So the exact check runs on every pass whose running worst mean
+# is within twice the limit.
 _CHECK_MARGIN = 2.0
 
 _DEPTH = 10  # passes a mixed pass combines; 8 to 20 took 0.6-1.2x the passes
@@ -242,7 +244,7 @@ class _Anderson:
         self.diffs = np.empty((3, _DEPTH, weights.size))
         self.last = np.empty((3, weights.size))
         self.gram = np.empty((_DEPTH, _DEPTH))
-        self.passes = 0  # passes recorded since the history was last cleared
+        self.passes = 0  # passes recorded
 
     def mix(self, deposits: np.ndarray, sums: np.ndarray, step: np.ndarray) -> None:
         """Record one pass, then mix ``deposits`` and ``sums`` in place."""
@@ -304,37 +306,32 @@ def _contractions(W: np.ndarray, S: list[np.ndarray]) -> list[list[tuple]]:
     return plans
 
 
-def _purify_subset(tensors: dict[Subset, np.ndarray], w: WeightDensity, u: Subset,
-                   tol: float, scale: float, max_passes: int,
-                   strict: bool) -> ConvergenceReport:
-    """Center every slice of ``tensors[u]``, depositing means one order down.
+def _purify_subset(T0: np.ndarray, W: np.ndarray, u: Subset, tol: float,
+                   scale: float, max_passes: int, strict: bool):
+    """Center every slice of ``T0`` under weights ``W``; returns
+    ``(T, deposits, report)``.
 
-    Mutates ``tensors`` in place; lower-order targets are created as zeros
-    when absent.  ``w`` must cover every deposit target: ``purify_model``
-    checks every required subset before it mutates anything.  The sweep
-    works on the deposits, not on the tensor.  It keeps the running slice
-    sums ``S[a] = (W * T).sum(a)`` of every axis end to end in one flat
-    buffer, with a matching flat vector of slice weights and a third flat
-    buffer of the deposits accumulated along each axis (``_views`` gives the
-    per-axis views of each).  An axis step takes its means ``m`` from
-    ``S[axis]``, adds them to the axis's deposits, subtracts ``wsum * m``
-    from ``S[axis]`` and one batched weight contraction of ``m`` (laid out
-    once per tensor by ``_contractions``) from each other axis's sums, and
-    records the trace mass of the whole buffer.  The tensor, ``T0`` minus
-    every axis's accumulated deposits, is built only when the running sums
-    say it may be pure.  From the first pass that does not halve the trace
-    mass over its axis steps on, each pass ends by mixing the deposits and
-    sums with ``_Anderson``, and its last trace row then holds the mixed
-    mass; a mixed pass counts as one pass against ``max_passes``.  The stop
-    is exact: the sweep ends after the first full pass whose built tensor
-    is pure under ``_pure(worst, tol, scale)``, with its worst mean
-    recomputed from that tensor as ``check_purity`` does.  Otherwise the
-    sums are resynced from the built tensor, the mixing history is cleared
-    and the sweep goes on.  When the sweep ends, converged or not, each
-    axis's deposits are added to their target once.
+    ``deposits[a]`` is the sum of the means taken along axis ``a``, for the
+    target ``u`` minus ``u[a]``; ``T`` is ``T0`` minus each of them broadcast
+    along its axis.  The sweep works on the deposits, not on the tensor.  It
+    keeps the running slice sums ``S[a] = (W * T).sum(a)`` of every axis end
+    to end in one flat buffer, with a matching flat vector of slice weights
+    and a third flat buffer of the deposits (``_views`` gives the per-axis
+    views of each).  An axis step takes its means ``m`` from ``S[axis]``,
+    adds them to the axis's deposits, subtracts ``wsum * m`` from
+    ``S[axis]`` and one batched weight contraction of ``m`` (laid out once
+    per tensor by ``_contractions``) from each other axis's sums, and
+    records the trace mass of the whole buffer.  The tensor is built only
+    when the running sums say it may be pure.  From the first pass that does
+    not halve the trace mass over its axis steps on, each pass ends by
+    mixing the deposits and sums with ``_Anderson``, and its last trace row
+    then holds the mixed mass; a mixed pass counts as one pass against
+    ``max_passes``.  The stop is exact: the sweep ends after the first full
+    pass whose built tensor is pure under ``_pure(worst, tol, scale)``, with
+    its worst mean recomputed from that tensor as ``check_purity`` does.
+    Otherwise the sums are resynced from the built tensor and the sweep goes
+    on.
     """
-    T0 = tensors[u]
-    W = w.table(u)
     if W.shape != T0.shape:
         raise DomainError(f"weights for {u} have shape {W.shape}, tensor {T0.shape}")
     axes = range(len(u))
@@ -353,11 +350,8 @@ def _purify_subset(tensors: dict[Subset, np.ndarray], w: WeightDensity, u: Subse
     S, wsums, D, F = (_views(flat, W.shape) for flat in (sums, wflat, deposits, step))
     plans = _contractions(W, S)
     trace = [(0, _mass(sums, wflat))]
-    passes = 0
-    pure = False
     anderson = None
-    while not pure and passes < max_passes:
-        passes += 1
+    for passes in range(1, max_passes + 1):
         # Sweep the last axis first so deposits land in the lexicographically
         # smallest remaining subset first.  The order is part of the result:
         # on sparse weights another order can reach another fixed point.
@@ -376,22 +370,13 @@ def _purify_subset(tensors: dict[Subset, np.ndarray], w: WeightDensity, u: Subse
         if _worst(sums, wflat) <= _CHECK_MARGIN * tol * scale:
             T = _centered(T0, D)
             sums[:] = _slice_sums(W * T)
-            pure = _pure(_worst(sums, wflat), tol, scale)
-            if anderson is not None:
-                anderson.passes = 0
-    if not pure:
-        T = _centered(T0, D)
-    tensors[u] = T
-    for axis in reversed(axes):
-        sub = u[:axis] + u[axis + 1:]
-        tensors[sub] = tensors.get(sub, 0.0) + D[axis]
-    report = ConvergenceReport(u, trace, passes)
-    if not pure:
-        worst = _worst(_slice_sums(W * T), wflat)
-        raise NonConvergenceError(
-            f"tensor {u}: worst slice mean {worst:.3e} above limit "
-            f"{tol * scale:.3e} after {passes} passes", report)
-    return report
+            if _pure(_worst(sums, wflat), tol, scale):
+                return T, D, ConvergenceReport(u, trace, passes)
+    worst = _worst(_slice_sums(W * _centered(T0, D)), wflat)
+    raise NonConvergenceError(
+        f"tensor {u}: worst slice mean {worst:.3e} above limit "
+        f"{tol * scale:.3e} after {passes} passes",
+        ConvergenceReport(u, trace, passes))
 
 
 def required_subsets(model: AdditiveModel) -> list[Subset]:
@@ -432,8 +417,11 @@ def purify_model(model: AdditiveModel, w: WeightDensity, tol: float = 1e-12,
     scale = _scale(tensors)
     reports: dict[Subset, ConvergenceReport] = {}
     for u in sorted(filter(None, required), key=_cascade_order):
-        reports[u] = _purify_subset(tensors, w, u, tol, scale, max_passes,
-                                    strict)
+        tensors[u], deposits, reports[u] = _purify_subset(
+            tensors[u], w.table(u), u, tol, scale, max_passes, strict)
+        for axis in reversed(range(len(u))):
+            sub = u[:axis] + u[axis + 1:]
+            tensors[sub] = tensors.get(sub, 0.0) + deposits[axis]
     effects = {u: EffectTensor(u, v) for u, v in tensors.items()}
     return AdditiveModel(model.bins, effects), reports
 

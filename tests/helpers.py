@@ -4,7 +4,8 @@ The oracles here are deliberately plain-Python loops, separate from the
 vectorized engine code paths they check.  The exception is the sweep oracle:
 the plain full-tensor sweep, with neither running sums nor Anderson mixing.
 ``engine``'s sweep must take its passes until mixing starts, and land on its
-fixed point after that.
+fixed point after that; ``oracle_fixed_point`` gives that point in closed
+form.
 """
 
 import itertools
@@ -88,6 +89,18 @@ def oracle_predict(model, point):
     return total
 
 
+def representative(bins, cell):
+    """A value guaranteed to land in ``cell`` (midpoint where bounded)."""
+    if bins.kind == "categorical":
+        return bins.labels[cell]
+    e = bins.edges
+    if cell == 0:
+        return e[0] - 1.0
+    if cell == len(e):
+        return e[-1] + 1.0
+    return 0.5 * (e[cell - 1] + e[cell])
+
+
 def tree_eval(node, point):
     while node.value is None:
         v = point[node.feature]
@@ -116,7 +129,7 @@ def oracle_tree_tensor(tree, bins):
     shape = tuple(bins[f].n_cells for f in feats)
     values = np.zeros(shape)
     for cells in itertools.product(*(range(n) for n in shape)):
-        point = {f: bins[f].representative(c) for f, c in zip(feats, cells)}
+        point = {f: representative(bins[f], c) for f, c in zip(feats, cells)}
         values[cells] = tree_eval(tree, point)
     return feats, values
 
@@ -140,19 +153,15 @@ def oracle_slice_stats(T, W, wsums):
     return mass, means, worst
 
 
-def oracle_purify_subset(tensors, w, u, tol, scale, max_passes, strict):
+def oracle_purify_subset(T0, W, u, tol, scale, max_passes, strict):
     """The full-tensor sweep: rewrite ``T`` and re-reduce it after every axis.
 
-    Same contract as ``engine._purify_subset``; mutates ``tensors``.
+    Same contract as ``engine._purify_subset``: returns the purified tensor,
+    the sum of the means taken along each axis, and the report.
     """
-    T = tensors[u]
-    W = w.table(u)
+    T = T0
     if W.shape != T.shape:
         raise DomainError(f"weights for {u} have shape {W.shape}, tensor {T.shape}")
-    for k in range(len(u)):
-        sub = u[:k] + u[k + 1:]
-        if not w.covers(sub):
-            raise DomainError(f"no weight table for deposit target {sub}")
     wsums = [W.sum(axis=axis) for axis in range(W.ndim)]
     if strict:
         for axis in reversed(range(len(u))):
@@ -161,27 +170,30 @@ def oracle_purify_subset(tensors, w, u, tol, scale, max_passes, strict):
                     f"zero-weight slice of {u} along {u[axis]!r}")
 
     mass, means, worst = oracle_slice_stats(T, W, wsums)
+    deposits = [np.zeros(m.shape) for m in means]
     trace = [(0, mass)]
     passes = 0
     while passes < max_passes:
         passes += 1
         for axis in reversed(range(len(u))):
             T = T - np.expand_dims(means[axis], axis)
-            sub = u[:axis] + u[axis + 1:]
-            target = tensors.get(sub)
-            if target is None:
-                target = np.zeros(means[axis].shape)
-            tensors[sub] = target + means[axis]
+            deposits[axis] = deposits[axis] + means[axis]
             mass, means, worst = oracle_slice_stats(T, W, wsums)
             trace.append((len(trace), mass))
-        tensors[u] = T
         if worst <= tol * scale:
-            return ConvergenceReport(u, trace, passes)
+            return T, deposits, ConvergenceReport(u, trace, passes)
     raise NonConvergenceError(
         f"tensor {u}: worst slice mean {worst:.3e} above limit "
         f"{tol * scale:.3e} after {passes} passes",
         ConvergenceReport(u, trace, passes),
     )
+
+
+def add_deposits(tensors, u, deposits):
+    """Add ``deposits[a]`` to ``tensors[u minus u[a]]``, as ``purify_model`` does."""
+    for axis in reversed(range(len(u))):
+        sub = u[:axis] + u[axis + 1:]
+        tensors[sub] = tensors.get(sub, 0.0) + deposits[axis]
 
 
 def oracle_purify_model(model, w, tol=1e-12, max_passes=10_000, strict=False):
@@ -196,9 +208,53 @@ def oracle_purify_model(model, w, tol=1e-12, max_passes=10_000, strict=False):
     reports = {}
     for order in range(max(map(len, tensors), default=0), 0, -1):
         for u in sorted(k for k in tensors if len(k) == order):
-            reports[u] = oracle_purify_subset(tensors, w, u, tol, scale,
-                                              max_passes, strict)
+            tensors[u], deposits, reports[u] = oracle_purify_subset(
+                tensors[u], w.table(u), u, tol, scale, max_passes, strict)
+            add_deposits(tensors, u, deposits)
     return tensors, reports
+
+
+def oracle_fixed_point(T0, W):
+    """The sweep's fixed point in closed form: ``(T, deposits)``.
+
+    The unknowns are the deposits of every axis, laid end to end; the design
+    ``X`` (cells x deposit entries) has a 1 where a cell receives an entry,
+    so ``T = T0 - X d``.  Zero slice means are the normal equations
+    ``A d = b`` with ``A = X' diag(w) X`` and ``b = X' (w T0)``.  The sweep
+    from zero deposits is block Gauss-Seidel on them, in its axis order
+    (last axis first), with splitting ``M = D + L`` and 1 on the diagonal of
+    each zero-weight slice.  Every pass output lies in ``M^-1 range(A)``,
+    and the one solution there is ``d = M^-1 Q c``, with ``Q`` an orthonormal
+    basis of ``range(A)`` and ``c`` the weighted least-squares fit of ``T0``
+    by ``X M^-1 Q``.
+    """
+    shape, k = T0.shape, T0.ndim
+    subs = [shape[:a] + shape[a + 1:] for a in range(k)]
+    starts = np.cumsum([0] + [int(np.prod(s)) for s in subs])
+    idx = np.indices(shape).reshape(k, -1)
+    X = np.zeros((T0.size, starts[-1]))
+    block = np.empty(starts[-1], dtype=int)
+    for a in range(k):
+        cols = starts[a] + np.ravel_multi_index(np.delete(idx, a, axis=0), subs[a])
+        X[np.arange(T0.size), cols] = 1.0
+        block[starts[a]:starts[a + 1]] = a
+    w = W.ravel()
+    on = w > 0.0
+    A = X[on].T @ (w[on, None] * X[on])
+    # Block a's step sees the new deposits of the blocks swept before it in
+    # the pass, the later axes, and the old ones of the rest.
+    M = np.where(block[None, :] >= block[:, None], A, 0.0)
+    diag = np.diagonal(A)
+    M[np.diag_indices_from(M)] = np.where(diag > 0.0, diag, 1.0)
+    # range(A) is the range of X' sqrt(w) over the weighted cells.  Fitting
+    # with sqrt(w) keeps the conditioning near X's; A M^-1 A would square it.
+    root, Xon = np.sqrt(w[on]), X[on]
+    U, s, _ = np.linalg.svd(Xon.T * root, full_matrices=False)
+    MinvQ = np.linalg.solve(M, U[:, s > s[0] * max(X.shape) * np.finfo(float).eps])
+    d = MinvQ @ np.linalg.lstsq(root[:, None] * (Xon @ MinvQ),
+                                root * T0.ravel()[on], rcond=None)[0]
+    T = T0 - (X @ d).reshape(shape)
+    return T, [d[starts[a]:starts[a + 1]].reshape(subs[a]) for a in range(k)]
 
 
 # --------------------------------------------------------------------------
@@ -260,7 +316,7 @@ def grid_points(model):
     names = sorted(model.bins)
     ranges = [range(model.bins[n].n_cells) for n in names]
     for cells in itertools.product(*ranges):
-        yield {n: model.bins[n].representative(c) for n, c in zip(names, cells)}
+        yield {n: representative(model.bins[n], c) for n, c in zip(names, cells)}
 
 
 def grid_predictions(model):

@@ -10,8 +10,8 @@ import sys
 
 import numpy as np
 
-from purefx import (AdditiveModel, DensitySpec, EffectTensor, FeatureBins,
-                    GridDataset, WeightDensity, check_purity, estimate_density,
+from purefx import (AdditiveModel, EffectTensor, FeatureBins, GridDataset,
+                    WeightDensity, check_purity, estimate_density,
                     gen_boolean_fig1, gen_log_lambda, gen_multiplicative,
                     gen_random_bench, gen_wright, effect_variance,
                     ingest_ensemble, model_from_json, model_to_json, predict,
@@ -21,7 +21,7 @@ from purefx.generators import bench_model, unit_grid_midpoints
 from conftest import SCORECARD
 from helpers import (columns, ensemble_eval, grid_predictions,
                      random_ensemble, random_model, random_points,
-                     uniform_density)
+                     representative, uniform_density)
 
 SIGMAS = (1.0, 10.0, 100.0)
 DIMS = (2, 25, 100)
@@ -178,7 +178,7 @@ def _sampled_dataset(rng, model, n_rows):
     for _ in range(n_rows):
         for name, col in cols.items():
             b = model.bins[name]
-            col.append(b.representative(int(rng.integers(0, b.n_cells))))
+            col.append(representative(b, int(rng.integers(0, b.n_cells))))
     return GridDataset(cols)
 
 
@@ -191,10 +191,10 @@ def test_acceptance_06_purity_and_preservation():
         model = random_model(rng)
         mode = next(modes)
         if mode == "uniform":
-            w = estimate_density(model, DensitySpec("uniform"))
+            w = estimate_density(model, "uniform")
         else:
             data = _sampled_dataset(rng, model, 150)
-            w = estimate_density(model, DensitySpec(mode, data))
+            w = estimate_density(model, mode, data)
         before = grid_predictions(model)
         out, _ = purify_model(model, w)
         after = grid_predictions(out)

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from purefx import (AdditiveModel, DensitySpec, EffectTensor, FeatureBins,
-                    TreeEnsemble, TreeNode, dataset_from_csv, ensemble_to_json,
+from purefx import (AdditiveModel, EffectTensor, FeatureBins, TreeEnsemble,
+                    TreeNode, dataset_from_csv, ensemble_to_json,
                     estimate_density, gen_boolean_fig1, gen_log_lambda,
                     gen_random_bench, model_from_json, model_to_json,
                     purify_model)
@@ -105,7 +105,7 @@ def test_cascade_reports_and_traces_follow_one_order(tmp_path):
     src.write_text(model_to_json(model))
     data = tmp_path / "rows.csv"
     data.write_text("a,b,c\n" + "0,0,0\n" * 5 + "1,1,0\n0,1,1\n")
-    w = estimate_density(model, DensitySpec("laplace", dataset_from_csv(data)))
+    w = estimate_density(model, "laplace", dataset_from_csv(data))
     _, reports = purify_model(model, w)
     order = [("a", "b", "c"), ("a", "b"), ("a", "c"), ("b", "c"),
              ("a",), ("b",), ("c",)]

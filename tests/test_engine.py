@@ -1,18 +1,20 @@
 import itertools
+import math
 import re
 
 import numpy as np
 import pytest
 
-from purefx import (AdditiveModel, DegenerateSliceError, DensitySpec,
-                    DomainError, EffectTensor, FeatureBins, GridDataset,
+from purefx import (AdditiveModel, DegenerateSliceError, DomainError,
+                    EffectTensor, FeatureBins, GridDataset,
                     NonConvergenceError, WeightDensity, check_purity,
                     estimate_density, gen_boolean_fig1, gen_random_bench,
                     purify_model, unpurified_mass)
 from purefx.engine import _Anderson, _purify_subset
 from purefx.generators import bench_model
 
-from helpers import (grid_predictions, oracle_matrix_mass, oracle_purify_model,
+from helpers import (add_deposits, grid_predictions, oracle_fixed_point,
+                     oracle_matrix_mass, oracle_purify_model,
                      oracle_purify_subset, oracle_slice_means, random_density,
                      random_model, uniform_density, with_categorical)
 
@@ -147,12 +149,13 @@ def test_cube_nonconvergence_reports_the_recomputed_worst_mean():
         purify_model(m, w, max_passes=1)
     assert exc.value.report.passes == 1
     assert len(exc.value.report.trace) == 4
-    # The oracle leaves the tensor after its one pass in place.
-    tensors = {k: np.array(e.values) for k, e in m.effects.items()}
-    scale = float(np.max(np.abs(tensors[u])))
+    T0, W = m.effects[u].values, w.table(u)
+    scale = float(np.max(np.abs(T0)))
     with pytest.raises(NonConvergenceError):
-        oracle_purify_subset(tensors, w, u, 1e-12, scale, 1, False)
-    worst = max(abs(x) for x in oracle_slice_means(tensors[u], w.table(u)))
+        oracle_purify_subset(T0, W, u, 1e-12, scale, 1, False)
+    # With no limit the oracle returns its tensor after that one pass.
+    T, _, _ = oracle_purify_subset(T0, W, u, math.inf, scale, 1, False)
+    worst = max(abs(x) for x in oracle_slice_means(T, W))
     assert f"worst slice mean {worst:.3e} above limit" in str(exc.value)
 
 
@@ -168,7 +171,7 @@ def _sparse_empirical_density(rng, model, n_rows):
             cols[name] = [str(x) for x in rng.choice(b.labels[:2], n_rows)]
         else:
             cols[name] = rng.beta(0.5, 3.0, n_rows) * 4.0 - 2.0
-    return estimate_density(model, DensitySpec("empirical", GridDataset(cols)))
+    return estimate_density(model, "empirical", GridDataset(cols))
 
 
 def _four_way_hierarchy(rng):
@@ -207,14 +210,14 @@ def _matches_oracle(m, w, strict=False):
     """``purify_model`` against the full-tensor oracle; None if both raise.
 
     The engine's cascade is stepped one tensor at a time, and each step is
-    held to the oracle's sweep of a copy of that same input.  A tensor whose
-    oracle sweep never reaches the pass that starts the mixing
-    (``_mixing_starts``) takes the same passes, with trace masses within
-    1e-11 x its initial mass plus 1e-14 x scale, and leaves every tensor
-    within 1e-12 x scale of the oracle's, zero-weight cells too.  A mixed
-    tensor takes fewer passes, keeps one trace row per axis step, matches
-    the oracle's trace up to that pass and leaves every tensor within
-    1e-10 x scale.  End to end, tensors swept before the first mixed one
+    held to the oracle's sweep of that same input.  A tensor whose oracle
+    sweep never reaches the pass that starts the mixing (``_mixing_starts``)
+    takes the same passes, with trace masses within 1e-11 x its initial mass
+    plus 1e-14 x scale, and returns a tensor and deposits within 1e-12 x
+    scale of the oracle's, zero-weight cells too.  A mixed tensor takes
+    fewer passes, keeps one trace row per axis step, matches the oracle's
+    trace up to that pass and returns a tensor and deposits within 1e-10 x
+    scale.  End to end, tensors swept before the first mixed one
     are within 1e-12 x scale of the whole oracle cascade, the rest within
     1e-10 x scale.  Returns ``purify_model``'s reports and the oracle's.
     """
@@ -231,10 +234,11 @@ def _matches_oracle(m, w, strict=False):
     tensors = {u: np.array(e.values, dtype=float) for u, e in m.effects.items()}
     swept, early = [], None
     for u, report in reports.items():
-        given = {k: v.copy() for k, v in tensors.items()}
-        ref = oracle_purify_subset(given, w, u, 1e-12, scale, 10_000, strict)
-        assert _purify_subset(tensors, w, u, 1e-12, scale, 10_000,
-                              strict) == report, u
+        T0, W = tensors[u], w.table(u)
+        ref_T, ref_D, ref = oracle_purify_subset(T0, W, u, 1e-12, scale, 10_000,
+                                                 strict)
+        T, D, got = _purify_subset(T0, W, u, 1e-12, scale, 10_000, strict)
+        assert got == report, u
         assert len(report.trace) == 1 + len(u) * report.passes, u
         start = _mixing_starts(ref)
         mixes = start is not None
@@ -253,10 +257,11 @@ def _matches_oracle(m, w, strict=False):
                                                   ref.trace):
             assert it == ref_it
             assert abs(mass - ref_mass) <= bound, (u, it)
-        assert tensors.keys() == given.keys()
         bound = (1e-10 if mixes else 1e-12) * scale
-        for k, values in given.items():
-            assert np.max(np.abs(tensors[k] - values), initial=0.0) <= bound, (u, k)
+        for got_values, values in zip([T, *D], [ref_T, *ref_D]):
+            assert np.max(np.abs(got_values - values), initial=0.0) <= bound, u
+        tensors[u] = T
+        add_deposits(tensors, u, D)
     assert out.effects.keys() == want.keys()
     for u, values in want.items():
         bound = (1e-12 if early is None or u in early else 1e-10) * scale
@@ -309,7 +314,7 @@ def _beta_cubes():
         m = _full_cube_hierarchy(rng, 16)
         rows = rng.beta(3.0, 3.0, (5000, 3))
         data = GridDataset(dict(zip(sorted(m.bins), rows.T)))
-        yield m, estimate_density(m, DensitySpec("empirical", data))
+        yield m, estimate_density(m, "empirical", data)
 
 
 def test_running_sums_match_the_oracle_over_many_passes():
@@ -322,15 +327,52 @@ def test_running_sums_match_the_oracle_over_many_passes():
         assert want_reports[("x0", "x1", "x2")].passes > 50
 
 
+def _sparse_tensor(rng, k):
+    """N(0, 1) values over 3-6 cells per axis, ~45% of the cells weighted."""
+    shape = tuple(int(n) for n in rng.integers(3, 7, size=k))
+    return (rng.normal(size=shape),
+            np.where(rng.random(shape) < 0.45, rng.random(shape), 0.0))
+
+
+def test_sweep_lands_on_the_closed_form_fixed_point():
+    # Sparse weights leave the deposits open, so this pins the point of the
+    # documented axis order on every deposit entry and every cell, zero-
+    # weight cells included; sweeping first to last lands elsewhere.
+    rng = np.random.default_rng(61)
+    cases = [_sparse_tensor(rng, k) for k in (2, 3) for _ in range(20)]
+    u = ("x0", "x1", "x2")
+    cases += [(m.effects[u].values, w.table(u)) for m, w in _beta_cubes()]
+    for T0, W in cases:
+        scale = float(np.max(np.abs(T0)))
+        T, D, _ = _purify_subset(T0, W, u[:T0.ndim], 1e-15, scale, 10_000, False)
+        want_T, want_D = oracle_fixed_point(T0, W)
+        for got, want in zip([T, *D], [want_T, *want_D]):
+            assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+
+def test_sweep_leaves_its_inputs_unchanged():
+    m, w = next(_beta_cubes())
+    u = ("x0", "x1", "x2")
+    T0, W = m.effects[u].values.copy(), w.table(u).copy()
+    T0.setflags(write=False)
+    W.setflags(write=False)
+    _, _, report = _purify_subset(T0, W, u, 1e-12, float(np.max(np.abs(T0))),
+                                  10_000, False)
+    assert report.passes > 1
+    assert np.array_equal(T0, m.effects[u].values)
+    assert np.array_equal(W, w.table(u))
+
+
 def test_mixing_cuts_the_passes_on_sparse_cubes():
     # From the pass that stops halving the mass, the mixed sweep takes at
     # most a third of the passes the plain sweep still takes.
     u = ("x0", "x1", "x2")
     for m, w in _beta_cubes():
         out, reports = purify_model(m, w)
-        tensors = {k: np.array(e.values) for k, e in m.effects.items()}
-        scale = max(float(np.max(np.abs(v))) for k, v in tensors.items() if k)
-        plain = oracle_purify_subset(tensors, w, u, 1e-12, scale, 10_000, False)
+        scale = max(float(np.max(np.abs(e.values))) for k, e in m.effects.items()
+                    if k)
+        _, _, plain = oracle_purify_subset(m.effects[u].values, w.table(u), u,
+                                           1e-12, scale, 10_000, False)
         start = _mixing_starts(plain)
         assert reports[u].passes - start <= (plain.passes - start) / 3
         # A mixed pass's last trace row is the mass after the mixing, so the
@@ -684,12 +726,13 @@ def test_sparse_cubed_rows_converge():
     m = _full_cube_hierarchy(rng, 50)
     rows = np.round(rng.random((20_000, 3)) ** 3, 6)
     data = GridDataset(dict(zip(names, rows.T)))
-    w = estimate_density(m, DensitySpec("empirical", data))
+    w = estimate_density(m, "empirical", data)
     # The plain sweep does not converge in 100 passes (it takes 1011).
-    tensors = {u: np.array(e.values) for u, e in m.effects.items()}
-    scale = max(float(np.max(np.abs(v))) for u, v in tensors.items() if u)
+    scale = max(float(np.max(np.abs(e.values))) for u, e in m.effects.items()
+                if u)
     with pytest.raises(NonConvergenceError):
-        oracle_purify_subset(tensors, w, names, 1e-12, scale, 100, False)
+        oracle_purify_subset(m.effects[names].values, w.table(names), names,
+                             1e-12, scale, 100, False)
     out, reports = purify_model(m, w)
     assert reports[names].passes <= 250
     assert check_purity(out, w).passed

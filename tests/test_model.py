@@ -9,7 +9,7 @@ from purefx import (AdditiveModel, DomainError, EffectTensor, FeatureBins,
 from purefx.density import bin_dataset
 
 from helpers import (grid_predictions, oracle_bin, oracle_predict,
-                     random_model, with_categorical)
+                     random_model, representative, with_categorical)
 
 BOOL_POINTS = [{"x1": a, "x2": b} for a in (0, 1) for b in (0, 1)]
 
@@ -58,7 +58,7 @@ def test_prediction_is_exactly_additive():
     for _ in range(20):
         m = random_model(rng)
         names = sorted(m.bins)
-        point = {n: m.bins[n].representative(0) for n in names}
+        point = {n: representative(m.bins[n], 0) for n in names}
         total = predict(m, point)
         for u, eff in m.effects.items():
             others = AdditiveModel(
