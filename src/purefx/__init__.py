@@ -17,15 +17,14 @@ _SUBMODULE = {
     **dict.fromkeys(("dataset_from_csv", "density_to_json",
                      "estimate_density"), "density"),
     **dict.fromkeys(("ConvergenceReport", "PurityReport", "WeightDensity",
-                     "check_purity", "purify_model", "required_subsets",
-                     "unpurified_mass"), "engine"),
+                     "check_purity", "effect_variance", "purify_model",
+                     "required_subsets", "unpurified_mass"), "engine"),
     **dict.fromkeys(("DegenerateSliceError", "DomainError",
                      "NonConvergenceError", "UnsupportedTreeError"), "errors"),
     **dict.fromkeys(("gen_boolean_fig1", "gen_log_lambda", "gen_multiplicative",
                      "gen_random_bench", "gen_wright"), "generators"),
-    **dict.fromkeys(("AdditiveModel", "EffectTensor", "GridDataset",
-                     "effect_variance", "model_from_json", "model_to_json",
-                     "predict"), "model"),
+    **dict.fromkeys(("AdditiveModel", "EffectTensor", "model_from_json",
+                     "model_to_json", "predict"), "model"),
     **dict.fromkeys(("TreeEnsemble", "TreeNode", "collect_bins",
                      "ensemble_from_json", "ensemble_to_json",
                      "ingest_ensemble", "tree_to_tensor"), "trees"),

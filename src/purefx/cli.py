@@ -55,6 +55,8 @@ def _read_text(path):
 
 
 def _load_model(args):
+    if args.ensemble and args.model:
+        raise DomainError("give --model or --ensemble, not both")
     if args.ensemble:
         return ingest_ensemble(ensemble_from_json(_read_text(args.ensemble)))
     return model_from_json(_read_text(args.model))
@@ -139,7 +141,7 @@ def _cmd_density(args):
 
 def _cmd_predict(args):
     model = _load_model(args)
-    values = predict(model, dataset_from_csv(args.data).columns)
+    values = predict(model, dataset_from_csv(args.data))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["prediction"])

@@ -6,27 +6,16 @@ import csv
 
 import numpy as np
 
-from .bins import bin_index
 from .engine import WeightDensity, required_subsets
 from .errors import DomainError
-from .model import AdditiveModel, GridDataset, Subset, dumps_canonical
+from .model import AdditiveModel, Subset, bin_dataset, dumps_canonical
 
 MODES = ("uniform", "empirical", "laplace")
 
 
-def bin_dataset(model: AdditiveModel, data: GridDataset) -> dict[str, np.ndarray]:
-    """Cell index of every row for every model feature present in the data."""
-    cols = {}
-    for name, b in model.bins.items():
-        if name not in data.columns:
-            raise DomainError(f"dataset is missing model feature {name!r}")
-        cols[name] = bin_index(b, data.columns[name])
-    return cols
-
-
 def _counts(model: AdditiveModel, u: Subset, cols: dict[str, np.ndarray]) -> np.ndarray:
     if not u:
-        return np.asarray(float(len(next(iter(cols.values())))) if cols else 0.0)
+        return np.ones(())
     shape = tuple(model.bins[name].n_cells for name in u)
     flat = np.ravel_multi_index(tuple(cols[name] for name in u), shape)
     counts = np.bincount(flat, minlength=int(np.prod(shape)))
@@ -34,33 +23,32 @@ def _counts(model: AdditiveModel, u: Subset, cols: dict[str, np.ndarray]) -> np.
 
 
 def estimate_density(model: AdditiveModel, mode: str = "uniform",
-                     data: GridDataset | None = None) -> WeightDensity:
+                     data: dict | None = None) -> WeightDensity:
     """Build normalized weight tables for every subset the purifier will touch.
 
     ``mode`` is one of ``MODES``; ``empirical`` and ``laplace`` count the
-    rows of ``data``, which must be nonempty.
+    rows of ``data``, a dict of columns, which must be nonempty.  Only the
+    columns of features that some effect uses are read.
     """
     if mode not in MODES:
         raise DomainError(f"unknown density mode {mode!r}")
-    subsets = required_subsets(model)
-    cols = None
+    cols = {}
     if mode in ("empirical", "laplace"):
-        if data is None or len(data) == 0:
+        if data is not None:
+            cols = bin_dataset(model, data)
+        # An intercept-only model reads no column; any nonempty one will do.
+        if data is None or not any(map(len, (cols or data).values())):
             raise DomainError(f"{mode} density requires a nonempty dataset")
-        cols = bin_dataset(model, data)
 
     tables: dict[Subset, np.ndarray] = {}
-    for u in subsets:
-        shape = tuple(model.bins[name].n_cells for name in u)
+    for u in required_subsets(model):
         if mode == "uniform":
-            t = np.ones(shape)
+            t = np.ones(tuple(model.bins[name].n_cells for name in u))
         elif mode == "empirical":
             t = _counts(model, u, cols)
-            if t.sum() <= 0:
-                raise DomainError(f"empirical weights for {u}: no rows counted")
         else:
             t = _counts(model, u, cols) + 1.0
-        tables[u] = np.asarray(t, dtype=float) / np.asarray(t, dtype=float).sum()
+        tables[u] = t / t.sum()
     return WeightDensity(tables)
 
 
@@ -68,7 +56,7 @@ def estimate_density(model: AdditiveModel, mode: str = "uniform",
 # File I/O
 # --------------------------------------------------------------------------
 
-def dataset_from_csv(path) -> GridDataset:
+def dataset_from_csv(path) -> dict[str, tuple[str, ...]]:
     """Header row of feature names, then one row of values per data point.
 
     Feature names must be distinct, and every row must have as many fields
@@ -90,7 +78,7 @@ def dataset_from_csv(path) -> GridDataset:
                 f"{path}, row {i}: {len(r)} fields, "
                 f"the header has {len(header)}")
     columns = list(zip(*rows)) or [()] * len(header)
-    return GridDataset(dict(zip(header, columns)))
+    return dict(zip(header, columns))
 
 
 def density_to_dict(w: WeightDensity) -> dict:

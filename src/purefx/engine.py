@@ -74,9 +74,6 @@ class WeightDensity:
             raise DomainError(f"no weight table for subset {u}")
         return self.tables[u]
 
-    def covers(self, u) -> bool:
-        return tuple(u) in self.tables
-
 
 @dataclass
 class ConvergenceReport:
@@ -198,11 +195,24 @@ def _cascade_order(u: Subset):
     return (-len(u), u)
 
 
+def _weights(w: WeightDensity, u: Subset, shape: tuple[int, ...]) -> np.ndarray:
+    """The table of ``u`` in ``w``, which must have the tensor's ``shape``."""
+    W = w.table(u)
+    if W.shape != shape:
+        raise DomainError(f"weights for {u} have shape {W.shape}, tensor {shape}")
+    return W
+
+
 def unpurified_mass(tensor: EffectTensor, w: WeightDensity) -> float:
-    wt = w.table(tensor.vars)
-    if wt.shape != tensor.values.shape:
-        raise DomainError("weight/tensor shape mismatch")
+    wt = _weights(w, tensor.vars, tensor.values.shape)
     return _mass(_slice_sums(wt * tensor.values), _slice_weights(_slice_sums(wt)))
+
+
+def effect_variance(tensor: EffectTensor, w: WeightDensity) -> float:
+    """Weighted variance of a tensor under the density's table for its subset."""
+    wt = _weights(w, tensor.vars, tensor.values.shape)
+    mu = float((wt * tensor.values).sum())
+    return float((wt * (tensor.values - mu) ** 2).sum())
 
 
 # The running slice means drift from the built tensor's own by rounding, the
@@ -308,7 +318,7 @@ def _contractions(W: np.ndarray, S: list[np.ndarray]) -> list[list[tuple]]:
 
 def _purify_subset(T0: np.ndarray, W: np.ndarray, u: Subset, tol: float,
                    scale: float, max_passes: int, strict: bool):
-    """Center every slice of ``T0`` under weights ``W``; returns
+    """Center every slice of ``T0`` under weights ``W`` of its shape; returns
     ``(T, deposits, report)``.
 
     ``deposits[a]`` is the sum of the means taken along axis ``a``, for the
@@ -332,8 +342,6 @@ def _purify_subset(T0: np.ndarray, W: np.ndarray, u: Subset, tol: float,
     Otherwise the sums are resynced from the built tensor and the sweep goes
     on.
     """
-    if W.shape != T0.shape:
-        raise DomainError(f"weights for {u} have shape {W.shape}, tensor {T0.shape}")
     axes = range(len(u))
     wsum = _slice_sums(W)
     if strict:
@@ -409,7 +417,7 @@ def purify_model(model: AdditiveModel, w: WeightDensity, tol: float = 1e-12,
     if max_passes < 1:
         raise DomainError(f"max_passes must be at least 1, not {max_passes}")
     required = required_subsets(model)
-    missing = [u for u in required if not w.covers(u)]
+    missing = [u for u in required if u not in w.tables]
     if missing:
         raise DomainError(f"weight density missing subsets: {missing}")
 
@@ -418,7 +426,8 @@ def purify_model(model: AdditiveModel, w: WeightDensity, tol: float = 1e-12,
     reports: dict[Subset, ConvergenceReport] = {}
     for u in sorted(filter(None, required), key=_cascade_order):
         tensors[u], deposits, reports[u] = _purify_subset(
-            tensors[u], w.table(u), u, tol, scale, max_passes, strict)
+            tensors[u], _weights(w, u, tensors[u].shape), u, tol, scale,
+            max_passes, strict)
         for axis in reversed(range(len(u))):
             sub = u[:axis] + u[axis + 1:]
             tensors[sub] = tensors.get(sub, 0.0) + deposits[axis]
@@ -438,9 +447,7 @@ def check_purity(model: AdditiveModel, w: WeightDensity, tol: float = 1e-10) -> 
     tensors = []
     for u in sorted(filter(None, model.effects), key=_cascade_order):
         T = model.effects[u].values
-        W = w.table(u)
-        if W.shape != T.shape:
-            raise DomainError(f"weights for {u} have shape {W.shape}, tensor {T.shape}")
+        W = _weights(w, u, T.shape)
         worst = _worst(_slice_sums(W * T), _slice_weights(_slice_sums(W)))
         tensors.append(TensorPurity(u, worst, _pure(worst, tol, scale)))
     return PurityReport(tol, scale, tensors)

@@ -79,28 +79,22 @@ class AdditiveModel:
         return float(self.effects[()].values)
 
 
-@dataclass(frozen=True)
-class GridDataset:
-    """Columns of feature values, one per feature name, all the same length.
+def bin_dataset(model: AdditiveModel, data: dict) -> dict[str, np.ndarray]:
+    """Cell indices of ``data`` for every feature that some effect uses.
 
-    Continuous columns hold numbers or decimal strings, categorical columns
-    hold labels.  The columns are kept as given, not copied.
+    ``data`` maps each feature name to one value or to a column of values;
+    the columns of features no effect uses are not read.  The binned columns
+    must all have one length, and a single value is not mixed with columns.
     """
-
-    columns: dict[str, object]
-
-    def __post_init__(self):
-        cols = dict(self.columns)
-        _check_lengths({name: len(col) for name, col in cols.items()})
-        object.__setattr__(self, "columns", cols)
-
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values()), ()))
-
-
-def _check_lengths(lengths: dict) -> None:
+    cells: dict[str, np.ndarray] = {}
+    for name in dict.fromkeys(name for u in model.effects for name in u):
+        if name not in data:
+            raise DomainError(f"data is missing feature {name!r}")
+        cells[name] = bin_index(model.bins[name], data[name])
+    lengths = {name: len(c) if c.ndim else "one value" for name, c in cells.items()}
     if len(set(lengths.values())) > 1:
         raise DomainError(f"columns differ in length: {lengths}")
+    return cells
 
 
 def predict(model: AdditiveModel, points: dict) -> float | np.ndarray:
@@ -111,30 +105,13 @@ def predict(model: AdditiveModel, points: dict) -> float | np.ndarray:
     row.  Effects are added in ``model.effects`` order, so every row sums
     exactly as a one-point call.
     """
-    cells: dict[str, np.ndarray] = {}
-    for name in dict.fromkeys(name for u in model.effects for name in u):
-        if name not in points:
-            raise DomainError(f"point is missing feature {name!r}")
-        cells[name] = bin_index(model.bins[name], points[name])
-    _check_lengths({name: len(c) if c.ndim else "one value"
-                    for name, c in cells.items()})
+    cells = bin_dataset(model, points)
     shape = (next(iter(cells.values())).shape if cells
              else np.shape(next(iter(points.values()), 0.0)))
     total = np.zeros(shape)
     for eff in model.effects.values():
         total = total + eff.values[tuple(cells[name] for name in eff.vars)]
     return total if total.ndim else float(total)
-
-
-def effect_variance(tensor: EffectTensor, w) -> float:
-    """Weighted variance of a tensor under the density's table for its subset."""
-    wt = np.asarray(w.table(tensor.vars))
-    if wt.shape != tensor.values.shape:
-        raise DomainError(
-            f"weight shape {wt.shape} does not match tensor shape {tensor.values.shape}"
-        )
-    mu = float((wt * tensor.values).sum())
-    return float((wt * (tensor.values - mu) ** 2).sum())
 
 
 # --------------------------------------------------------------------------

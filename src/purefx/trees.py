@@ -14,7 +14,7 @@ import numpy as np
 
 from .bins import FeatureBins
 from .errors import DomainError, UnsupportedTreeError
-from .model import AdditiveModel, EffectTensor, dumps_canonical
+from .model import AdditiveModel, EffectTensor, _entry, dumps_canonical
 
 # Each tree becomes one dense tensor over its split features, whose size is
 # the product of their cell counts; purefx models hold effects of order <= 3.
@@ -202,12 +202,8 @@ def ensemble_from_json(text: str) -> TreeEnsemble:
         raise DomainError("an ensemble is a JSON object with a list of 'trees'")
     nodes = []
     for i, tree in enumerate(trees):
-        try:
+        with _entry("tree", i, tree):
             nodes.append(_node_from_dict(tree))
-        except KeyError as exc:
-            raise DomainError(f"tree {i}: a node lacks the key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"tree {i}: {exc}") from None
     base_score = doc.get("base_score", 0.0)
     try:
         base_score = float(base_score)

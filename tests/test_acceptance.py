@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from purefx import (AdditiveModel, EffectTensor, FeatureBins, GridDataset,
+from purefx import (AdditiveModel, EffectTensor, FeatureBins,
                     WeightDensity, check_purity, estimate_density,
                     gen_boolean_fig1, gen_log_lambda, gen_multiplicative,
                     gen_random_bench, gen_wright, effect_variance,
@@ -179,7 +179,7 @@ def _sampled_dataset(rng, model, n_rows):
         for name, col in cols.items():
             b = model.bins[name]
             col.append(representative(b, int(rng.integers(0, b.n_cells))))
-    return GridDataset(cols)
+    return cols
 
 
 def test_acceptance_06_purity_and_preservation():

@@ -1,10 +1,14 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import purefx
+import purefx.density
 
 
 def test_every_public_name_resolves():
@@ -47,3 +51,26 @@ def test_cli_process_runs_one_thread():
 def test_cli_module_runs_without_warnings():
     res = fresh_python("-W", "error", "-m", "purefx.cli", "--help")
     assert (res.returncode, res.stderr) == (0, "")
+
+
+def test_bench_patch_targets_resolve(monkeypatch):
+    # The benchmark's traced run wraps these names; a rename breaks it there.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    for module, attr, _ in spans.PATCHES:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+    calls = []
+    bin_dataset = purefx.density.bin_dataset
+
+    def counting(*args):
+        calls.append(args)
+        return bin_dataset(*args)
+
+    monkeypatch.setattr(purefx.density, "bin_dataset", counting)
+    purefx.estimate_density(purefx.gen_boolean_fig1("a"), "empirical",
+                            {"x1": [0, 1], "x2": [1, 1]})
+    assert len(calls) == 1

@@ -264,6 +264,7 @@ SPLIT = {"split": "x1", "threshold": 0.5,
     ({"trees": 5}, "an ensemble is a JSON object with a list of 'trees'"),
     ({"trees": [SPLIT], "base_score": None},
      "base_score must be a number, not None"),
+    ({"trees": [5]}, "tree 0: not a JSON object"),
 ])
 def test_malformed_ensemble_json_exits_2(tmp_path, doc, message):
     ens = tmp_path / "ens.json"
@@ -326,6 +327,32 @@ def test_empirical_without_data_exits_2(tmp_path):
     res = run_cli("purify", "--model", str(src), "--weights", "empirical")
     assert res.returncode == 2
     assert json.loads(res.stderr)["error"] == "DomainError"
+
+
+def test_intercept_only_ensemble_takes_empirical_weights(tmp_path):
+    ens = tmp_path / "ens.json"
+    ens.write_text('{"trees":[{"leaf":1.5}]}')
+    data = tmp_path / "rows.csv"
+    data.write_text("x1\n0.1\n0.9\n")
+    res = run_cli("purify", "--ensemble", str(ens), "--weights", "empirical",
+                  "--data", str(data))
+    assert res.returncode == 0, res.stderr
+    assert model_from_json(res.stdout).intercept == 1.5
+
+
+@pytest.mark.parametrize("command", ["purify", "check", "density", "predict"])
+def test_model_with_ensemble_exits_2(tmp_path, command):
+    src = tmp_path / "a.json"
+    src.write_text(model_to_json(gen_boolean_fig1("a")))
+    ens = tmp_path / "ens.json"
+    ens.write_text('{"trees":[{"leaf":1.5}]}')
+    data = tmp_path / "rows.csv"
+    data.write_text("x1,x2\n0,1\n")
+    res = run_cli(command, "--model", str(src), "--ensemble", str(ens),
+                  "--data", str(data))
+    assert res.returncode == 2, res.stderr
+    assert json.loads(res.stderr) == {
+        "error": "DomainError", "message": "give --model or --ensemble, not both"}
 
 
 def test_missing_model_file_exits_1():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from purefx import (AdditiveModel, DomainError, EffectTensor, FeatureBins,
-                    GridDataset, dataset_from_csv,
+                    dataset_from_csv,
                     density_to_json, estimate_density, purify_model,
                     required_subsets)
 
@@ -16,8 +16,7 @@ def boolean_model():
 
 
 def boolean_rows(pairs):
-    return GridDataset({"x1": [a for a, _ in pairs],
-                        "x2": [b for _, b in pairs]})
+    return {"x1": [a for a, _ in pairs], "x2": [b for _, b in pairs]}
 
 
 def test_required_subsets_of_pair_model():
@@ -88,7 +87,13 @@ def test_counting_modes_require_data():
             estimate_density(boolean_model(), mode)
         with pytest.raises(DomainError, match="requires a nonempty dataset"):
             estimate_density(boolean_model(), mode,
-                             GridDataset({"x1": [], "x2": []}))
+                             {"x1": [], "x2": []})
+
+
+@pytest.mark.parametrize("mode", ["uniform", "empirical", "laplace"])
+def test_intercept_only_table_is_exactly_one(mode):
+    w = estimate_density(AdditiveModel({}, {}), mode, {"x1": ["0.1", "0.9"]})
+    assert w.table(()) == 1.0
 
 
 def test_unknown_mode_rejected():
@@ -98,23 +103,23 @@ def test_unknown_mode_rejected():
 
 def test_columns_must_have_equal_length():
     with pytest.raises(DomainError, match="differ in length"):
-        GridDataset({"x1": [0, 1], "x2": [0]})
+        estimate_density(boolean_model(), "empirical", {"x1": [0, 1], "x2": [0]})
 
 
 def test_dataset_missing_feature_column():
-    data = GridDataset({"x1": [0]})
+    data = {"x1": [0]}
     with pytest.raises(DomainError, match="x2"):
         estimate_density(boolean_model(), "empirical", data)
 
 
 def test_blank_continuous_value_rejected():
-    data = GridDataset({"x1": ["0.1", "0.2"], "x2": ["0.3", " "]})
+    data = {"x1": ["0.1", "0.2"], "x2": ["0.3", " "]}
     with pytest.raises(DomainError, match="'x2', row 1: blank"):
         estimate_density(boolean_model(), "empirical", data)
 
 
 def test_unparseable_continuous_value_rejected():
-    data = GridDataset({"x1": ["0.1", "0.2"], "x2": ["0.3", "high"]})
+    data = {"x1": ["0.1", "0.2"], "x2": ["0.3", "high"]}
     with pytest.raises(DomainError, match="'x2', row 1: cannot parse 'high'"):
         estimate_density(boolean_model(), "empirical", data)
 
@@ -122,7 +127,7 @@ def test_unparseable_continuous_value_rejected():
 def test_unknown_categorical_label_rejected():
     bins = {"c": FeatureBins("c", "categorical", labels=("a", "b"))}
     m = AdditiveModel(bins, {("c",): EffectTensor(("c",), np.array([1.0, -1.0]))})
-    data = GridDataset({"c": ["a", "b", "z"]})
+    data = {"c": ["a", "b", "z"]}
     with pytest.raises(DomainError, match="'c', row 2: unknown label 'z'"):
         estimate_density(m, "empirical", data)
 
@@ -134,7 +139,7 @@ def test_value_on_edge_counts_in_upper_cell():
 
 
 def test_continuous_strings_parse_like_numbers():
-    str_rows = GridDataset({"x1": ["0.7"], "x2": ["0.1"]})
+    str_rows = {"x1": ["0.7"], "x2": ["0.1"]}
     num_rows = boolean_rows([(0.7, 0.1)])
     a = estimate_density(boolean_model(), "empirical", str_rows)
     b = estimate_density(boolean_model(), "empirical", num_rows)
@@ -145,8 +150,7 @@ def test_dataset_from_csv(tmp_path):
     p = tmp_path / "data.csv"
     p.write_text("x1,x2\n0.1,0.9\n0.8,0.2\n")
     data = dataset_from_csv(p)
-    assert data.columns == {"x1": ("0.1", "0.8"), "x2": ("0.9", "0.2")}
-    assert len(data) == 2
+    assert data == {"x1": ("0.1", "0.8"), "x2": ("0.9", "0.2")}
     w = estimate_density(boolean_model(), "empirical", data)
     assert np.array_equal(w.table(("x1", "x2")),
                           np.array([[0.0, 0.5], [0.5, 0.0]]))

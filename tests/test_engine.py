@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from purefx import (AdditiveModel, DegenerateSliceError, DomainError,
-                    EffectTensor, FeatureBins, GridDataset,
-                    NonConvergenceError, WeightDensity, check_purity,
+                    EffectTensor, FeatureBins, NonConvergenceError,
+                    WeightDensity, check_purity, effect_variance,
                     estimate_density, gen_boolean_fig1, gen_random_bench,
                     purify_model, unpurified_mass)
 from purefx.engine import _Anderson, _purify_subset
@@ -171,7 +171,7 @@ def _sparse_empirical_density(rng, model, n_rows):
             cols[name] = [str(x) for x in rng.choice(b.labels[:2], n_rows)]
         else:
             cols[name] = rng.beta(0.5, 3.0, n_rows) * 4.0 - 2.0
-    return estimate_density(model, "empirical", GridDataset(cols))
+    return estimate_density(model, "empirical", cols)
 
 
 def _four_way_hierarchy(rng):
@@ -313,7 +313,7 @@ def _beta_cubes():
         rng = np.random.default_rng(seed)
         m = _full_cube_hierarchy(rng, 16)
         rows = rng.beta(3.0, 3.0, (5000, 3))
-        data = GridDataset(dict(zip(sorted(m.bins), rows.T)))
+        data = dict(zip(sorted(m.bins), rows.T))
         yield m, estimate_density(m, "empirical", data)
 
 
@@ -504,6 +504,20 @@ def test_purify_model_intercept_only_unchanged():
     out, reports = purify_model(m, WeightDensity({(): np.asarray(1.0)}))
     assert out.intercept == 2.0
     assert reports == {}
+
+
+@pytest.mark.parametrize("call", [
+    purify_model,
+    check_purity,
+    lambda m, w: unpurified_mass(m.effects[("x1", "x2")], w),
+    lambda m, w: effect_variance(m.effects[("x1", "x2")], w),
+], ids=["purify_model", "check_purity", "unpurified_mass", "effect_variance"])
+def test_mis_shaped_weight_table_rejected_with_one_message(call):
+    w = WeightDensity({**boolean_uniform_density().tables,
+                       ("x1", "x2"): np.full((3, 2), 1 / 6)})
+    with pytest.raises(DomainError, match=re.escape(
+            "weights for ('x1', 'x2') have shape (3, 2), tensor (2, 2)")):
+        call(gen_boolean_fig1("a"), w)
 
 
 def test_purify_model_missing_weight_subset_errors_before_mutation():
@@ -725,7 +739,7 @@ def test_sparse_cubed_rows_converge():
     rng = np.random.default_rng(3)
     m = _full_cube_hierarchy(rng, 50)
     rows = np.round(rng.random((20_000, 3)) ** 3, 6)
-    data = GridDataset(dict(zip(names, rows.T)))
+    data = dict(zip(names, rows.T))
     w = estimate_density(m, "empirical", data)
     # The plain sweep does not converge in 100 passes (it takes 1011).
     scale = max(float(np.max(np.abs(e.values))) for u, e in m.effects.items()

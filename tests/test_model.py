@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from purefx import (AdditiveModel, DomainError, EffectTensor, FeatureBins,
-                    GridDataset, WeightDensity, effect_variance,
+                    WeightDensity, effect_variance,
                     gen_boolean_fig1, model_from_json, model_to_json, predict)
 from purefx.density import bin_dataset
 
@@ -101,9 +101,10 @@ def test_columns_match_the_loop_oracle():
         want = [oracle_predict(m, p) for p in points]
         assert predict(m, cols).tolist() == want
         assert [predict(m, p) for p in points[:3]] == want[:3]
-        binned = bin_dataset(m, GridDataset(cols))
-        for f, col in cols.items():
-            want_cells = [oracle_bin(m.bins[f], v) for v in col]
+        binned = bin_dataset(m, cols)
+        assert set(binned) == {f for u in m.effects for f in u}
+        for f in binned:
+            want_cells = [oracle_bin(m.bins[f], v) for v in cols[f]]
             assert binned[f].tolist() == want_cells
 
 
