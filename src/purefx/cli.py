@@ -19,8 +19,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .density import dataset_from_csv, density_to_json, estimate_density
 from .engine import MAX_PASSES, check_purity, purify_model
-from .errors import (DegenerateSliceError, DomainError, NonConvergenceError,
-                     UnsupportedTreeError)
+from .errors import DegenerateSliceError, DomainError, NonConvergenceError
 from .generators import (bench_model, gen_boolean_fig1, gen_log_lambda,
                          gen_multiplicative, gen_random_bench, gen_wright)
 from .model import dumps_canonical, model_from_json, model_to_json, predict
@@ -91,15 +90,14 @@ def _cmd_purify(args):
     if args.trace:
         _write(_trace_csv(reports), args.trace)
     if args.report:
-        _write(dumps_canonical(check_purity(purified, w).to_dict()), args.report)
+        _write(dumps_canonical(check_purity(purified, w)), args.report)
     return EXIT_OK
 
 
 def _cmd_check(args):
     model = _load_model(args)
     w = _build_density(model, args)
-    report = check_purity(model, w, tol=args.tol)
-    _write(dumps_canonical(report.to_dict()), args.out)
+    _write(dumps_canonical(check_purity(model, w, tol=args.tol)), args.out)
     return EXIT_OK
 
 
@@ -230,8 +228,7 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_NONCONVERGENCE)
     except DegenerateSliceError as exc:
         return _fail(exc, EXIT_DEGENERATE)
-    except (DomainError, UnsupportedTreeError, json.JSONDecodeError,
-            KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         return _fail(exc, EXIT_PARSE)
     except OSError as exc:
         return _fail(exc, EXIT_ERROR)

@@ -17,7 +17,7 @@ def _counts(model: AdditiveModel, u: Subset, cols: dict[str, np.ndarray]) -> np.
     if not u:
         return np.ones(())
     shape = tuple(model.bins[name].n_cells for name in u)
-    flat = np.ravel_multi_index(tuple(cols[name] for name in u), shape)
+    flat = np.ravel_multi_index(tuple(np.ravel(cols[name]) for name in u), shape)
     counts = np.bincount(flat, minlength=int(np.prod(shape)))
     return counts.reshape(shape).astype(float)
 
@@ -27,8 +27,9 @@ def estimate_density(model: AdditiveModel, mode: str = "uniform",
     """Build normalized weight tables for every subset the purifier will touch.
 
     ``mode`` is one of ``MODES``; ``empirical`` and ``laplace`` count the
-    rows of ``data``, a dict of columns, which must be nonempty.  Only the
-    columns of features that some effect uses are read.
+    rows of ``data``, a dict of columns (or of single values, one row), which
+    must be nonempty.  Only the columns of features that some effect uses
+    are read.
     """
     if mode not in MODES:
         raise DomainError(f"unknown density mode {mode!r}")
@@ -37,7 +38,7 @@ def estimate_density(model: AdditiveModel, mode: str = "uniform",
         if data is not None:
             cols = bin_dataset(model, data)
         # An intercept-only model reads no column; any nonempty one will do.
-        if data is None or not any(map(len, (cols or data).values())):
+        if data is None or not any(map(np.size, (cols or data).values())):
             raise DomainError(f"{mode} density requires a nonempty dataset")
 
     tables: dict[Subset, np.ndarray] = {}

@@ -92,46 +92,6 @@ class ConvergenceReport:
         return self.trace[-1][1]
 
 
-@dataclass
-class TensorPurity:
-    vars: Subset
-    max_abs_slice_mean: float
-    passed: bool
-
-
-@dataclass
-class PurityReport:
-    """Worst slice mean per tensor; a tensor passes when it is within tol * scale."""
-
-    tol: float
-    scale: float
-    tensors: list[TensorPurity]
-
-    @property
-    def max_abs_slice_mean(self) -> float:
-        return max((t.max_abs_slice_mean for t in self.tensors), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return all(t.passed for t in self.tensors)
-
-    def to_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "scale": self.scale,
-            "pass": self.passed,
-            "max_abs_slice_mean": self.max_abs_slice_mean,
-            "tensors": [
-                {
-                    "vars": list(t.vars),
-                    "max_abs_slice_mean": t.max_abs_slice_mean,
-                    "pass": t.passed,
-                }
-                for t in self.tensors
-            ],
-        }
-
-
 def _views(flat: np.ndarray, shape: tuple[int, ...]) -> list[np.ndarray]:
     """One view of ``flat`` per axis ``a``, shaped like ``shape`` without ``a``."""
     views, start = [], 0
@@ -435,12 +395,15 @@ def purify_model(model: AdditiveModel, w: WeightDensity, tol: float = 1e-12,
     return AdditiveModel(model.bins, effects), reports
 
 
-def check_purity(model: AdditiveModel, w: WeightDensity, tol: float = 1e-10) -> PurityReport:
+def check_purity(model: AdditiveModel, w: WeightDensity, tol: float = 1e-10) -> dict:
     """Report the worst absolute weighted slice mean of every non-intercept tensor.
 
+    Returns the dict that ``purefx check`` and ``purify --report`` write:
+    ``tol``, ``scale``, ``pass``, ``max_abs_slice_mean`` and ``tensors``, one
+    ``{"vars", "max_abs_slice_mean", "pass"}`` per tensor in cascade order.
     A tensor passes under the sweep's own rule, with ``tol`` relative to this
     model's scale (its largest |effect value|); ``tol`` must be finite and
-    >= 0.
+    >= 0.  The top-level ``pass`` and ``max_abs_slice_mean`` cover every tensor.
     """
     _check_tol(tol)
     scale = _scale({u: e.values for u, e in model.effects.items()})
@@ -449,5 +412,13 @@ def check_purity(model: AdditiveModel, w: WeightDensity, tol: float = 1e-10) -> 
         T = model.effects[u].values
         W = _weights(w, u, T.shape)
         worst = _worst(_slice_sums(W * T), _slice_weights(_slice_sums(W)))
-        tensors.append(TensorPurity(u, worst, _pure(worst, tol, scale)))
-    return PurityReport(tol, scale, tensors)
+        tensors.append({"vars": list(u), "max_abs_slice_mean": worst,
+                        "pass": _pure(worst, tol, scale)})
+    return {
+        "tol": tol,
+        "scale": scale,
+        "pass": all(t["pass"] for t in tensors),
+        "max_abs_slice_mean": max((t["max_abs_slice_mean"] for t in tensors),
+                                  default=0.0),
+        "tensors": tensors,
+    }

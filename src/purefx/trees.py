@@ -53,16 +53,19 @@ class TreeEnsemble:
     base_score: float = 0.0
 
 
+def _splits(tree: TreeNode):
+    """Every split node of ``tree``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            yield node
+            stack += [node.left, node.right]
+
+
 def tree_features(node: TreeNode, index: int = 0) -> tuple[str, ...]:
     """Sorted distinct split features; errors past ``MAX_TREE_FEATURES``."""
-    seen: set[str] = set()
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if not n.is_leaf:
-            seen.add(n.feature)
-            stack += [n.left, n.right]
-    feats = tuple(sorted(seen))
+    feats = tuple(sorted({n.feature for n in _splits(node)}))
     if len(feats) > MAX_TREE_FEATURES:
         raise UnsupportedTreeError(
             f"tree {index} splits on {len(feats)} distinct features "
@@ -72,31 +75,20 @@ def tree_features(node: TreeNode, index: int = 0) -> tuple[str, ...]:
 
 def collect_bins(ensemble: TreeEnsemble) -> dict[str, FeatureBins]:
     """Global grid per feature: sorted distinct thresholds, or the label union."""
-    thresholds: dict[str, set[float]] = {}
-    labels: dict[str, set[str]] = {}
-
-    def visit(node: TreeNode):
-        if node.is_leaf:
-            return
-        if node.threshold is not None:
-            if node.feature in labels:
-                raise DomainError(f"feature {node.feature!r} split both ways")
-            thresholds.setdefault(node.feature, set()).add(float(node.threshold))
-        else:
-            if node.feature in thresholds:
-                raise DomainError(f"feature {node.feature!r} split both ways")
-            labels.setdefault(node.feature, set()).update(node.label_set)
-        visit(node.left)
-        visit(node.right)
-
-    for t in ensemble.trees:
-        visit(t)
-
+    found: dict[str, tuple[str, set]] = {}
+    for tree in ensemble.trees:
+        for n in _splits(tree):
+            kind = "continuous" if n.threshold is not None else "categorical"
+            seen, values = found.setdefault(n.feature, (kind, set()))
+            if seen != kind:
+                raise DomainError(f"feature {n.feature!r} split both ways")
+            values.update((float(n.threshold),) if n.threshold is not None
+                          else n.label_set)
     out = {}
-    for name, edges in thresholds.items():
-        out[name] = FeatureBins(name, "continuous", edges=tuple(sorted(edges)))
-    for name, labs in labels.items():
-        out[name] = FeatureBins(name, "categorical", labels=tuple(sorted(labs)))
+    for name, (kind, values) in found.items():
+        values = tuple(sorted(values))
+        out[name] = (FeatureBins(name, kind, edges=values) if kind == "continuous"
+                     else FeatureBins(name, kind, labels=values))
     return out
 
 
@@ -150,10 +142,7 @@ def ingest_ensemble(ensemble: TreeEnsemble) -> AdditiveModel:
     acc: dict[tuple[str, ...], np.ndarray] = {(): np.asarray(float(ensemble.base_score))}
     for i, tree in enumerate(ensemble.trees):
         t = tree_to_tensor(tree, bins, i)
-        if t.vars in acc:
-            acc[t.vars] = acc[t.vars] + t.values
-        else:
-            acc[t.vars] = np.array(t.values)
+        acc[t.vars] = acc.get(t.vars, -0.0) + t.values  # -0.0 + x is x, -0.0 too
     effects = {u: EffectTensor(u, v) for u, v in acc.items()}
     return AdditiveModel(bins, effects)
 
@@ -162,20 +151,17 @@ def ingest_ensemble(ensemble: TreeEnsemble) -> AdditiveModel:
 # Canonical ensemble JSON
 # --------------------------------------------------------------------------
 
-def _node_from_dict(doc: dict) -> TreeNode:
+def _node_from_dict(doc) -> TreeNode:
+    if not isinstance(doc, dict):
+        raise DomainError(f"a node is not a JSON object: {doc!r}")
     if "leaf" in doc:
         return TreeNode(value=float(doc["leaf"]))
     thr = doc["threshold"]
-    if isinstance(thr, dict):
-        return TreeNode(
-            feature=doc["split"],
-            label_set=frozenset(thr["labels"]),
-            left=_node_from_dict(doc["left"]),
-            right=_node_from_dict(doc["right"]),
-        )
+    labels = isinstance(thr, dict)
     return TreeNode(
         feature=doc["split"],
-        threshold=float(thr),
+        threshold=None if labels else float(thr),
+        label_set=frozenset(thr["labels"]) if labels else None,
         left=_node_from_dict(doc["left"]),
         right=_node_from_dict(doc["right"]),
     )

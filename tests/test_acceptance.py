@@ -199,7 +199,7 @@ def test_acceptance_06_purity_and_preservation():
         out, _ = purify_model(model, w)
         after = grid_predictions(out)
         drift = float(np.max(np.abs(after - before) / (1.0 + np.abs(before))))
-        purity = check_purity(out, w).max_abs_slice_mean
+        purity = check_purity(out, w)["max_abs_slice_mean"]
         worst_purity = max(worst_purity, purity)
         worst_drift = max(worst_drift, drift)
     ok = worst_purity <= 1e-10 and worst_drift <= 1e-10

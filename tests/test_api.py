@@ -74,3 +74,37 @@ def test_bench_patch_targets_resolve(monkeypatch):
     purefx.estimate_density(purefx.gen_boolean_fig1("a"), "empirical",
                             {"x1": [0, 1], "x2": [1, 1]})
     assert len(calls) == 1
+
+
+def test_bench_traced_run_counts_from_returned_fields(tmp_path, monkeypatch):
+    # The traced run also reads fields of what the wrapped calls return
+    # (reports, tree nodes, tensors, bins); a renamed field breaks it there.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+
+    node = purefx.TreeNode
+    tree = node(feature="x1", threshold=0.5, left=node(value=1.0),
+                right=node(feature="x2", threshold=0.5, left=node(value=2.0),
+                           right=node(value=-1.0)))
+    ens = tmp_path / "ens.json"
+    ens.write_text(purefx.ensemble_to_json(purefx.TreeEnsemble((tree,))))
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2\n0.2,0.2\n0.7,0.3\n0.9,0.8\n")
+    pure = str(tmp_path / "pure.json")
+    cli = importlib.import_module("purefx.cli")
+    with spans.instrumented(spans.Tracer()) as tr:
+        assert cli.main([
+            "purify", "--ensemble", str(ens), "--weights", "empirical",
+            "--data", str(data), "--out", pure,
+            "--report", str(tmp_path / "report.json"),
+            "--trace", str(tmp_path / "trace.csv")]) == 0
+        assert cli.main([
+            "predict", "--model", pure, "--data", str(data),
+            "--out", str(tmp_path / "pred.csv")]) == 0
+    assert set(spans.SPAN_METRICS) <= {s.name for s in tr.spans}
+    for name in ("engine.passes", "trees.cells_tabulated",
+                 "density.rows_binned", "model.json_bytes"):
+        assert tr.counts[name] > 0, name

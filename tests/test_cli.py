@@ -265,6 +265,11 @@ SPLIT = {"split": "x1", "threshold": 0.5,
     ({"trees": [SPLIT], "base_score": None},
      "base_score must be a number, not None"),
     ({"trees": [5]}, "tree 0: not a JSON object"),
+    ({"trees": [{"split": "x1", "threshold": 0.5, "left": 5,
+                 "right": {"leaf": 1}}]},
+     "tree 0: a node is not a JSON object: 5"),
+    ({"trees": [{**SPLIT, "left": {"leaf": 0}, "right": [1]}]},
+     "tree 0: a node is not a JSON object: [1]"),
 ])
 def test_malformed_ensemble_json_exits_2(tmp_path, doc, message):
     ens = tmp_path / "ens.json"
@@ -386,6 +391,22 @@ def test_cube_nonconvergence_exits_3(tmp_path):
     assert err["error"] == "NonConvergenceError"
     assert "tensor ('x1', 'x2', 'x3')" in err["message"]
     assert "after 1 passes" in err["message"]
+
+
+def test_zero_weight_slice_exits_4_when_strict(tmp_path):
+    src = tmp_path / "a.json"
+    src.write_text(model_to_json(gen_boolean_fig1("a")))
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2\n0.2,0.2\n0.3,0.7\n")
+    argv = ("purify", "--model", str(src), "--weights", "empirical",
+            "--data", str(data))
+    res = run_cli(*argv, "--strict")
+    assert res.returncode == 4
+    assert json.loads(res.stderr) == {
+        "error": "DegenerateSliceError",
+        "message": "zero-weight slice of ('x1', 'x2') along 'x2'"}
+    res = run_cli(*argv)
+    assert res.returncode == 0, res.stderr
 
 
 def _skewed_csv(tmp_path):

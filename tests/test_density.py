@@ -3,7 +3,8 @@ import pytest
 
 from purefx import (AdditiveModel, DomainError, EffectTensor, FeatureBins,
                     dataset_from_csv,
-                    density_to_json, estimate_density, purify_model,
+                    density_to_json, estimate_density, gen_boolean_fig1,
+                    purify_model,
                     required_subsets)
 
 import json
@@ -88,6 +89,16 @@ def test_counting_modes_require_data():
         with pytest.raises(DomainError, match="requires a nonempty dataset"):
             estimate_density(boolean_model(), mode,
                              {"x1": [], "x2": []})
+
+
+@pytest.mark.parametrize("mode", ["empirical", "laplace"])
+def test_single_values_count_as_one_row(mode):
+    model = gen_boolean_fig1("a")
+    one = estimate_density(model, mode, {"x1": 0.3, "x2": 0.7})
+    row = estimate_density(model, mode, {"x1": [0.3], "x2": [0.7]})
+    assert one.tables.keys() == row.tables.keys()
+    for u in row.tables:
+        assert np.array_equal(one.table(u), row.table(u))
 
 
 @pytest.mark.parametrize("mode", ["uniform", "empirical", "laplace"])

@@ -60,7 +60,7 @@ def test_fig1_row_d_is_already_pure():
     d = gen_boolean_fig1("d")
     w = uniform_density(d)
     assert unpurified_mass(d.effects[("x1", "x2")], w) == 0.0
-    assert check_purity(d, w).passed
+    assert check_purity(d, w)["pass"]
 
 
 # --------------------------------------------------------------------------

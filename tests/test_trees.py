@@ -258,7 +258,7 @@ def test_ingest_then_purify_preserves_predictions():
         for p in grid_points(m):
             assert predict(out, p) == pytest.approx(
                 ensemble_eval(ens, p), abs=1e-10)
-        assert check_purity(out, w).passed
+        assert check_purity(out, w)["pass"]
 
 
 # --------------------------------------------------------------------------
