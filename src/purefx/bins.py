@@ -27,6 +27,9 @@ class FeatureBins:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.feature_name, str):
+            raise DomainError(
+                f"a feature name is a string, not {self.feature_name!r}")
         if self.kind not in ("continuous", "categorical"):
             raise DomainError(f"unknown bins kind {self.kind!r}")
         if self.kind == "continuous":

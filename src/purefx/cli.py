@@ -20,8 +20,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .density import dataset_from_csv, density_to_json, estimate_density
 from .engine import MAX_PASSES, check_purity, purify_model
 from .errors import DegenerateSliceError, DomainError, NonConvergenceError
-from .generators import (bench_model, gen_boolean_fig1, gen_log_lambda,
-                         gen_multiplicative, gen_random_bench, gen_wright)
 from .model import dumps_canonical, model_from_json, model_to_json, predict
 from .trees import ensemble_from_json, ingest_ensemble
 
@@ -102,6 +100,9 @@ def _cmd_check(args):
 
 
 def _cmd_gen(args):
+    # Imported here: no other command needs the generators.
+    from .generators import (gen_boolean_fig1, gen_log_lambda,
+                             gen_multiplicative, gen_wright)
     chosen = [x for x in (args.fig1_row, args.wright, args.lam, args.mult)
               if x is not None]
     if len(chosen) != 1:
@@ -123,6 +124,7 @@ def _cmd_gen(args):
 
 
 def _cmd_bench(args):
+    from .generators import bench_model, gen_random_bench
     tensor, w = gen_random_bench(args.sigma, args.dims, args.weights, args.seed)
     _, reports = purify_model(bench_model(tensor), w,
                               tol=args.tol, max_passes=args.max_passes)

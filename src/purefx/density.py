@@ -8,7 +8,7 @@ import numpy as np
 
 from .engine import WeightDensity, required_subsets
 from .errors import DomainError
-from .model import AdditiveModel, Subset, bin_dataset, dumps_canonical
+from .model import AdditiveModel, Subset, _dumps, _json_array, bin_dataset
 
 MODES = ("uniform", "empirical", "laplace")
 
@@ -82,15 +82,9 @@ def dataset_from_csv(path) -> dict[str, tuple[str, ...]]:
     return dict(zip(header, columns))
 
 
-def density_to_dict(w: WeightDensity) -> dict:
-    return {
-        "subsets": [
-            {"vars": list(u), "weights": w.tables[u].tolist()}
-            for u in sorted(w.tables, key=lambda u: (len(u), u))
-        ]
-    }
-
-
 def density_to_json(w: WeightDensity) -> str:
-    return dumps_canonical(density_to_dict(w))
-
+    """Canonical JSON of the weight tables, by (order, vars)."""
+    subsets = ",".join(
+        '{"vars":%s,"weights":%s}' % (_dumps(list(u)), _json_array(w.tables[u]))
+        for u in sorted(w.tables, key=lambda u: (len(u), u)))
+    return '{"subsets":[%s]}\n' % subsets

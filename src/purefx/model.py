@@ -118,7 +118,40 @@ def predict(model: AdditiveModel, points: dict) -> float | np.ndarray:
 # Canonical JSON (bit-exact round trip; fixed ordering for determinism)
 # --------------------------------------------------------------------------
 
-def model_to_dict(model: AdditiveModel) -> dict:
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _json_array(a: np.ndarray) -> str:
+    """``_dumps(a.tolist())`` for a nonempty float array.
+
+    A piecewise-constant tensor repeats few distinct values, and then each
+    is formatted once.  Values are told apart by their bits, so ``-0.0`` and
+    ``0.0`` keep their own text.  Where most values are distinct, json's own
+    encoder is faster than a gather, and it formats every cell.
+    """
+    bits = a.ravel().view(np.int64)
+    ordered = np.sort(bits)
+    if 2 * np.count_nonzero(ordered[1:] != ordered[:-1]) >= bits.size:
+        return _dumps(a.tolist())
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())),
+                    dtype=object)
+    parts = text[inverse].tolist()
+    for n in reversed(a.shape):
+        parts = ["[" + ",".join(parts[i:i + n]) + "]"
+                 for i in range(0, len(parts), n)]
+    return parts[0]
+
+
+def dumps_canonical(doc: dict) -> str:
+    """Serialize with sorted keys and shortest round-trip floats."""
+    return _dumps(doc) + "\n"
+
+
+def model_to_json(model: AdditiveModel) -> str:
+    """The canonical JSON of ``model``: features by name, effects by
+    (order, vars), keys sorted."""
     features = []
     for name in sorted(model.bins):
         b = model.bins[name]
@@ -128,11 +161,11 @@ def model_to_dict(model: AdditiveModel) -> dict:
         else:
             entry["labels"] = list(b.labels)
         features.append(entry)
-    effects = []
-    for key in sorted(model.effects, key=lambda u: (len(u), u)):
-        eff = model.effects[key]
-        effects.append({"vars": list(eff.vars), "values": eff.values.tolist()})
-    return {"features": features, "effects": effects}
+    effects = ",".join(
+        '{"values":%s,"vars":%s}' % (_json_array(model.effects[u].values),
+                                     _dumps(list(u)))
+        for u in sorted(model.effects, key=lambda u: (len(u), u)))
+    return '{"effects":[%s],"features":%s}\n' % (effects, _dumps(features))
 
 
 def model_from_dict(doc: dict) -> AdditiveModel:
@@ -174,15 +207,6 @@ def _entry(what: str, index: int, entry):
         raise DomainError(f"{what} {index}: lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{what} {index}: {exc}") from None
-
-
-def dumps_canonical(doc: dict) -> str:
-    """Serialize with sorted keys and shortest round-trip floats."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def model_to_json(model: AdditiveModel) -> str:
-    return dumps_canonical(model_to_dict(model))
 
 
 def model_from_json(text: str) -> AdditiveModel:

@@ -6,6 +6,7 @@ features; a tree over k features becomes one k-dimensional tensor.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -41,6 +42,9 @@ class TreeNode:
             return
         if self.feature is None or self.left is None or self.right is None:
             raise DomainError("split node needs feature, left, and right")
+        if not isinstance(self.feature, str):
+            raise DomainError(
+                f"a split feature is a string, not {self.feature!r}")
         if (self.threshold is None) == (self.label_set is None):
             raise DomainError("split node needs exactly one of threshold / label set")
         if self.threshold is not None and not math.isfinite(self.threshold):
@@ -97,10 +101,13 @@ def tree_to_tensor(tree: TreeNode, bins: dict[str, FeatureBins],
     """Tabulate the tree's leaf values on the global grid of its split features.
 
     Each leaf covers an axis-aligned box of grid cells: the descent keeps one
-    boolean cell mask per feature, and every split narrows its feature's
-    mask.  A tree splitting one feature twice yields a 1-D tensor.  Every
-    threshold must be an edge of its feature's bins (as ``collect_bins``
-    makes them), so each cell lies wholly on one side of every split.
+    index per feature, and every split narrows its feature's index.  A
+    threshold split keeps a contiguous range of cells (``< cut`` goes left),
+    so a box of threshold splits is a tuple of slices that fills by basic
+    slicing; a label-set split keeps a boolean cell mask.  A tree splitting
+    one feature twice yields a 1-D tensor.  Every threshold must be an edge
+    of its feature's bins (as ``collect_bins`` makes them), so each cell lies
+    wholly on one side of every split.
     """
     feats = tree_features(tree, index)
     if not feats:
@@ -109,31 +116,42 @@ def tree_to_tensor(tree: TreeNode, bins: dict[str, FeatureBins],
         if f not in bins:
             raise DomainError(f"tree {index}: no bins for feature {f!r}")
     axis = {f: k for k, f in enumerate(feats)}
-    values = np.zeros(tuple(bins[f].n_cells for f in feats))
+    shape = tuple(bins[f].n_cells for f in feats)
+    values = np.zeros(shape)
+    # Boolean masks on two axes would index together, not as a product.
+    masked = any(bins[f].kind == "categorical" for f in feats)
 
-    def fill(node: TreeNode, masks: list[np.ndarray]):
+    def fill(node: TreeNode, box: tuple):
         if node.is_leaf:
-            values[np.ix_(*masks)] = node.value
+            if masked:
+                box = np.ix_(*(np.arange(n)[s] for n, s in zip(shape, box)))
+            values[box] = node.value
             return
         k = axis[node.feature]
-        left = _left_cells(node, bins[node.feature], index)
-        for child, side in ((node.left, left), (node.right, ~left)):
-            fill(child, masks[:k] + [masks[k] & side] + masks[k + 1:])
+        if node.threshold is None:
+            left = np.array([label in node.label_set
+                             for label in bins[node.feature].labels])
+            sides = box[k] & left, box[k] & ~left
+        else:
+            cut = _cut(node, bins[node.feature], index)
+            lo, hi = box[k].start, box[k].stop
+            sides = slice(lo, min(hi, cut)), slice(max(lo, cut), hi)
+        for child, side in zip((node.left, node.right), sides):
+            fill(child, box[:k] + (side,) + box[k + 1:])
 
-    fill(tree, [np.ones(bins[f].n_cells, dtype=bool) for f in feats])
+    fill(tree, tuple(slice(0, n) if bins[f].kind == "continuous"
+                     else np.ones(n, dtype=bool) for f, n in zip(feats, shape)))
     return EffectTensor(feats, values)
 
 
-def _left_cells(node: TreeNode, bins: FeatureBins, index: int) -> np.ndarray:
-    """Boolean mask of the cells of ``bins`` that ``node`` sends left."""
-    if node.threshold is None:
-        return np.array([label in node.label_set for label in bins.labels])
-    cut = int(np.searchsorted(bins.edges, node.threshold, side="right"))
+def _cut(node: TreeNode, bins: FeatureBins, index: int) -> int:
+    """The number of cells of ``bins`` that ``node``'s threshold sends left."""
+    cut = bisect.bisect_right(bins.edges, node.threshold)
     if cut == 0 or bins.edges[cut - 1] != node.threshold:
         raise DomainError(
             f"tree {index}: threshold {node.threshold!r} is not a bin edge "
             f"of feature {node.feature!r}")
-    return np.arange(bins.n_cells) < cut
+    return cut
 
 
 def ingest_ensemble(ensemble: TreeEnsemble) -> AdditiveModel:

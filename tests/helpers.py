@@ -9,6 +9,7 @@ form.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -255,6 +256,35 @@ def oracle_fixed_point(T0, W):
                                 root * T0.ravel()[on], rcond=None)[0]
     T = T0 - (X @ d).reshape(shape)
     return T, [d[starts[a]:starts[a + 1]].reshape(subs[a]) for a in range(k)]
+
+
+def _oracle_dumps(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def oracle_model_json(model):
+    """The canonical model JSON, built as one document and dumped whole."""
+    features = []
+    for name in sorted(model.bins):
+        b = model.bins[name]
+        entry = {"name": name, "kind": b.kind}
+        if b.kind == "continuous":
+            entry["edges"] = list(b.edges)
+        else:
+            entry["labels"] = list(b.labels)
+        features.append(entry)
+    effects = []
+    for key in sorted(model.effects, key=lambda u: (len(u), u)):
+        eff = model.effects[key]
+        effects.append({"vars": list(eff.vars), "values": eff.values.tolist()})
+    return _oracle_dumps({"features": features, "effects": effects})
+
+
+def oracle_density_json(w):
+    """The canonical weight-table JSON, built as one document and dumped whole."""
+    return _oracle_dumps({"subsets": [
+        {"vars": list(u), "weights": w.tables[u].tolist()}
+        for u in sorted(w.tables, key=lambda u: (len(u), u))]})
 
 
 # --------------------------------------------------------------------------

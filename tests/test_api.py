@@ -32,6 +32,13 @@ def test_import_purefx_leaves_numpy_unloaded():
     assert res.stdout == "False\n", res.stderr
 
 
+def test_import_cli_leaves_generators_unloaded():
+    # Only `gen` and `bench` import them; other commands skip compiling them.
+    res = fresh_python("-c", "import sys, purefx.cli; "
+                       "print('purefx.generators' in sys.modules)")
+    assert res.stdout == "False\n", res.stderr
+
+
 @pytest.mark.parametrize("preset, seen", [({}, "1"),
                                           ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
 def test_cli_pins_blas_threads_unless_preset(preset, seen):

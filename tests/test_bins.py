@@ -22,6 +22,12 @@ def test_categorical_lookup():
     assert bin_index(b, "b") == 1
 
 
+@pytest.mark.parametrize("name", [5, None, ["x"]])
+def test_feature_name_must_be_a_string(name):
+    with pytest.raises(DomainError, match="a feature name is a string"):
+        FeatureBins(name, "continuous", edges=(0.5,))
+
+
 def test_unknown_label_names_feature_and_label():
     b = FeatureBins("color", "categorical", labels=("red", "blue"))
     with pytest.raises(DomainError, match="color.*green"):

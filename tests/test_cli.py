@@ -305,6 +305,23 @@ def test_malformed_model_json_exits_2(doc, message):
     assert err["message"].startswith(message)
 
 
+@pytest.mark.parametrize("flag, doc, message", [
+    ("--ensemble", {"trees": [SPLIT, {**SPLIT, "split": 5}]},
+     "tree 1: a split feature is a string, not 5"),
+    ("--ensemble", {"trees": [{**SPLIT, "split": 5}]},
+     "tree 0: a split feature is a string, not 5"),
+    ("--model", {"features": [{**FEATURE, "name": []}], "effects": []},
+     "feature 0: a feature name is a string, not []"),
+])
+def test_feature_name_that_is_not_a_string_exits_2(tmp_path, flag, doc, message):
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc))
+    res = run_cli("purify", flag, str(src))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.count("\n") == 1
+    assert json.loads(res.stderr) == {"error": "DomainError", "message": message}
+
+
 @pytest.mark.parametrize("argv, message", [
     (("purify", "--tol", "-1"), "tol must be finite and >= 0, not -1.0"),
     (("purify", "--tol", "nan"), "tol must be finite and >= 0, not nan"),

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from purefx import (AdditiveModel, DomainError, EffectTensor, FeatureBins,
-                    WeightDensity, effect_variance,
-                    gen_boolean_fig1, model_from_json, model_to_json, predict)
+                    WeightDensity, density_to_json, effect_variance,
+                    gen_boolean_fig1, gen_log_lambda, gen_multiplicative,
+                    gen_wright, model_from_json, model_to_json, predict)
 from purefx.density import bin_dataset
+from purefx.generators import WRIGHT_COEFFS
 
-from helpers import (grid_predictions, oracle_bin, oracle_predict,
-                     random_model, representative, with_categorical)
+from helpers import (grid_predictions, oracle_bin, oracle_density_json,
+                     oracle_model_json, oracle_predict, random_density,
+                     random_model, representative, uniform_density,
+                     with_categorical)
 
 BOOL_POINTS = [{"x1": a, "x2": b} for a in (0, 1) for b in (0, 1)]
 
@@ -144,6 +148,53 @@ def test_model_json_round_trip_is_bit_exact():
             assert np.array_equal(back.effects[u].values, m.effects[u].values)
         for n, b in m.bins.items():
             assert back.bins[n] == b
+
+
+# Cells whose shortest text is easy to get wrong: signed zeros, the least
+# subnormal, and the exponents where repr switches notation.
+SPECIAL = (-0.0, 0.0, 5e-324, 1e-05, 1e16, 1e22)
+
+
+def _redrawn(model, draw):
+    return AdditiveModel(model.bins, {
+        u: EffectTensor(u, draw(e.values.shape)) for u, e in model.effects.items()})
+
+
+def _writer_models(rng):
+    """Models whose tensors repeat a few values or hold all-distinct ones."""
+    pool = np.array(SPECIAL + (1.5, -2.25, 0.1))
+    yield AdditiveModel({}, {(): EffectTensor((), np.asarray(-0.0))})
+    yield gen_multiplicative(1.0, 2.0, -3.0, 0.5, 0.25, -1.0, n=8)
+    yield gen_log_lambda(0.5, 16)
+    yield from (gen_boolean_fig1(row) for row in "abcd")
+    yield from map(gen_wright, sorted(WRIGHT_COEFFS))
+    names = ("température", "x")
+    bins = {names[0]: FeatureBins(names[0], "continuous", edges=(0.5, 1.5)),
+            "x": FeatureBins("x", "categorical", labels=("naïve", "b"))}
+    yield AdditiveModel(bins, {
+        (names[0],): EffectTensor((names[0],), np.array([-0.0, 0.0, 1e22])),
+        names: EffectTensor(names, np.array(SPECIAL).reshape(3, 2))})
+
+    def distinct(shape):
+        # All distinct: a signed zero and a zero differ in their bits.
+        v = np.array(rng.normal(size=shape))
+        v.flat[:2] = [-0.0, 0.0][:v.size]
+        return v
+
+    for trial in range(40):
+        m = random_model(rng, max_order=3)
+        if trial % 3 == 0:
+            m = with_categorical(rng, m)
+        yield _redrawn(m, lambda shape: rng.choice(pool, size=shape)
+                       if trial % 2 else distinct(shape))
+
+
+def test_writers_match_the_json_dumps_oracle():
+    rng = np.random.default_rng(31)
+    for m in _writer_models(rng):
+        assert model_to_json(m) == oracle_model_json(m)
+        for w in (uniform_density(m), random_density(rng, m)):
+            assert density_to_json(w) == oracle_density_json(w)
 
 
 def test_effect_vars_must_be_sorted_and_distinct():

@@ -181,6 +181,52 @@ def test_box_fill_matches_the_loop_oracle():
     assert 99.0 not in tree_to_tensor(unreachable, bins).values
 
 
+def test_negative_zero_leaf_keeps_its_sign():
+    tree = stump("x", 0.5, -0.0, 1.0)
+    bins = collect_bins(TreeEnsemble((tree,)))
+    assert np.signbit(tree_to_tensor(leaf(-0.0), bins).values)
+    assert np.signbit(tree_to_tensor(tree, bins).values).tolist() == [True, False]
+    m = ingest_ensemble(TreeEnsemble((tree, leaf(-0.0)), base_score=-0.0))
+    assert np.signbit(m.effects[()].values)
+    assert np.signbit(m.effects[("x",)].values).tolist() == [True, False]
+
+
+def test_label_set_splits_mix_with_threshold_splits():
+    # Masks on two label axes must fill their product of cells; indexed
+    # together, two masks of two labels each would pick only two cells.
+    tree = TreeNode(
+        feature="c", label_set=frozenset({"L0", "L2"}),
+        left=TreeNode(feature="d", label_set=frozenset({"L0", "L1"}),
+                      left=stump("x", 0.5, 1.0, 2.0), right=leaf(3.0)),
+        right=TreeNode(feature="x", threshold=0.25, left=leaf(4.0),
+                       right=TreeNode(feature="d", label_set=frozenset({"L2"}),
+                                      left=leaf(5.0), right=leaf(6.0))))
+    bins = collect_bins(TreeEnsemble((tree,)))
+    t = tree_to_tensor(tree, bins)
+    feats, values = oracle_tree_tensor(tree, bins)
+    assert t.vars == feats == ("c", "d", "x")
+    assert np.array_equal(t.values, values)
+    assert np.count_nonzero(t.values == 1.0) == 2 * 2 * 2  # c, d, x < 0.5
+
+
+def test_feature_split_twice_on_a_path_narrows_one_range():
+    tree = TreeNode(feature="x", threshold=0.5,
+                    left=stump("x", 0.25, 1.0, 2.0),
+                    right=TreeNode(feature="x", threshold=0.75,
+                                   left=stump("x", 0.25, 9.0, 3.0),
+                                   right=leaf(4.0)))
+    t = tree_to_tensor(tree, collect_bins(TreeEnsemble((tree,))))
+    assert t.vars == ("x",)
+    assert t.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_off_edge_threshold_message():
+    bins = collect_bins(TreeEnsemble((stump("x", 0.5, 0.0, 1.0),)))
+    with pytest.raises(DomainError) as exc:
+        tree_to_tensor(stump("x", 0.3, 0.0, 1.0), bins, 3)
+    assert str(exc.value) == "tree 3: threshold 0.3 is not a bin edge of feature 'x'"
+
+
 # --------------------------------------------------------------------------
 # ingest_ensemble
 # --------------------------------------------------------------------------
@@ -293,3 +339,5 @@ def test_split_node_validation():
     with pytest.raises(DomainError):
         TreeNode(feature="x", threshold=float("nan"),
                  left=leaf(0.0), right=leaf(1.0))
+    with pytest.raises(DomainError, match="a split feature is a string"):
+        TreeNode(feature=5, threshold=0.5, left=leaf(0.0), right=leaf(1.0))
