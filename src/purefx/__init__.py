@@ -16,9 +16,9 @@ _SUBMODULE = {
     **dict.fromkeys(("FeatureBins", "bin_index"), "bins"),
     **dict.fromkeys(("dataset_from_csv", "density_to_json",
                      "estimate_density"), "density"),
-    **dict.fromkeys(("ConvergenceReport", "WeightDensity", "check_purity",
-                     "effect_variance", "purify_model", "required_subsets",
-                     "unpurified_mass"), "engine"),
+    **dict.fromkeys(("ConvergenceReport", "check_purity", "effect_variance",
+                     "purify_model", "required_subsets", "unpurified_mass"),
+                    "engine"),
     **dict.fromkeys(("DegenerateSliceError", "DomainError",
                      "NonConvergenceError", "UnsupportedTreeError"), "errors"),
     **dict.fromkeys(("gen_boolean_fig1", "gen_log_lambda", "gen_multiplicative",

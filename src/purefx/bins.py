@@ -49,6 +49,10 @@ class FeatureBins:
                 raise DomainError(
                     f"feature {self.feature_name!r}: categorical bins need labels"
                 )
+            for label in self.labels:
+                if not isinstance(label, str):
+                    raise DomainError(f"feature {self.feature_name!r}: "
+                                      f"a label is a string, not {label!r}")
             if len(set(self.labels)) != len(self.labels):
                 raise DomainError(f"feature {self.feature_name!r}: duplicate labels")
             object.__setattr__(self, "labels", tuple(self.labels))

@@ -142,11 +142,8 @@ def _cmd_density(args):
 def _cmd_predict(args):
     model = _load_model(args)
     values = predict(model, dataset_from_csv(args.data))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["prediction"])
-    writer.writerows([repr(v)] for v in values.tolist())
-    _write(buf.getvalue(), args.out)
+    # The bytes csv.writer gives: no float repr needs quoting.
+    _write("\r\n".join(["prediction", *map(repr, values.tolist()), ""]), args.out)
     return EXIT_OK
 
 

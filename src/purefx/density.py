@@ -6,7 +6,7 @@ import csv
 
 import numpy as np
 
-from .engine import WeightDensity, required_subsets
+from .engine import required_subsets
 from .errors import DomainError
 from .model import AdditiveModel, Subset, _dumps, _json_array, bin_dataset
 
@@ -23,8 +23,8 @@ def _counts(model: AdditiveModel, u: Subset, cols: dict[str, np.ndarray]) -> np.
 
 
 def estimate_density(model: AdditiveModel, mode: str = "uniform",
-                     data: dict | None = None) -> WeightDensity:
-    """Build normalized weight tables for every subset the purifier will touch.
+                     data: dict | None = None) -> dict[Subset, np.ndarray]:
+    """The weights: one normalized table per required subset, ``{subset: table}``.
 
     ``mode`` is one of ``MODES``; ``empirical`` and ``laplace`` count the
     rows of ``data``, a dict of columns (or of single values, one row), which
@@ -50,7 +50,7 @@ def estimate_density(model: AdditiveModel, mode: str = "uniform",
         else:
             t = _counts(model, u, cols) + 1.0
         tables[u] = t / t.sum()
-    return WeightDensity(tables)
+    return tables
 
 
 # --------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def dataset_from_csv(path) -> dict[str, tuple[str, ...]]:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(filter(None, reader), None)
         if header is None:
             raise DomainError(f"{path}: empty CSV")
         rows = [r for r in reader if r]
@@ -82,9 +82,9 @@ def dataset_from_csv(path) -> dict[str, tuple[str, ...]]:
     return dict(zip(header, columns))
 
 
-def density_to_json(w: WeightDensity) -> str:
+def density_to_json(w: dict[Subset, np.ndarray]) -> str:
     """Canonical JSON of the weight tables, by (order, vars)."""
     subsets = ",".join(
-        '{"vars":%s,"weights":%s}' % (_dumps(list(u)), _json_array(w.tables[u]))
-        for u in sorted(w.tables, key=lambda u: (len(u), u)))
+        '{"vars":%s,"weights":%s}' % (_dumps(list(u)), _json_array(w[u]))
+        for u in sorted(w, key=lambda u: (len(u), u)))
     return '{"subsets":[%s]}\n' % subsets

@@ -47,34 +47,6 @@ from .model import AdditiveModel, EffectTensor, Subset
 MAX_PASSES = 10_000  # default sweep budget per tensor
 
 
-@dataclass(frozen=True)
-class WeightDensity:
-    """Nonnegative normalized cell weights, one table per feature subset."""
-
-    tables: dict[Subset, np.ndarray]
-
-    def __post_init__(self):
-        tables = {}
-        for key, arr in self.tables.items():
-            key = tuple(key)
-            a = np.array(arr, dtype=float)
-            if a.ndim != len(key):
-                raise DomainError(f"weights for {key}: rank {a.ndim} != {len(key)} vars")
-            if not np.all(np.isfinite(a)) or np.any(a < 0):
-                raise DomainError(f"weights for {key}: entries must be finite and >= 0")
-            if abs(a.sum() - 1.0) > 1e-12:
-                raise DomainError(f"weights for {key}: sum {a.sum()} != 1")
-            a.setflags(write=False)
-            tables[key] = a
-        object.__setattr__(self, "tables", tables)
-
-    def table(self, u) -> np.ndarray:
-        u = tuple(u)
-        if u not in self.tables:
-            raise DomainError(f"no weight table for subset {u}")
-        return self.tables[u]
-
-
 @dataclass
 class ConvergenceReport:
     """Per-axis-sweep trace of the unpurified mass for one tensor."""
@@ -155,20 +127,27 @@ def _cascade_order(u: Subset):
     return (-len(u), u)
 
 
-def _weights(w: WeightDensity, u: Subset, shape: tuple[int, ...]) -> np.ndarray:
-    """The table of ``u`` in ``w``, which must have the tensor's ``shape``."""
-    W = w.table(u)
+def _weights(w: dict, u: Subset, shape: tuple[int, ...]) -> np.ndarray:
+    """The table of ``u`` in the weights ``w``, a dict ``{subset: table}``,
+    checked against the tensor's ``shape``; every weight read goes through here."""
+    if u not in w:
+        raise DomainError(f"no weight table for subset {u}")
+    W = np.asarray(w[u], dtype=float)
     if W.shape != shape:
         raise DomainError(f"weights for {u} have shape {W.shape}, tensor {shape}")
+    if not np.all(np.isfinite(W)) or np.any(W < 0):
+        raise DomainError(f"weights for {u}: entries must be finite and >= 0")
+    if abs(W.sum() - 1.0) > 1e-12:
+        raise DomainError(f"weights for {u}: sum {W.sum()} != 1")
     return W
 
 
-def unpurified_mass(tensor: EffectTensor, w: WeightDensity) -> float:
+def unpurified_mass(tensor: EffectTensor, w: dict) -> float:
     wt = _weights(w, tensor.vars, tensor.values.shape)
     return _mass(_slice_sums(wt * tensor.values), _slice_weights(_slice_sums(wt)))
 
 
-def effect_variance(tensor: EffectTensor, w: WeightDensity) -> float:
+def effect_variance(tensor: EffectTensor, w: dict) -> float:
     """Weighted variance of a tensor under the density's table for its subset."""
     wt = _weights(w, tensor.vars, tensor.values.shape)
     mu = float((wt * tensor.values).sum())
@@ -361,33 +340,32 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be finite and >= 0, not {tol!r}")
 
 
-def purify_model(model: AdditiveModel, w: WeightDensity, tol: float = 1e-12,
+def purify_model(model: AdditiveModel, w: dict, tol: float = 1e-12,
                  max_passes: int = MAX_PASSES, strict: bool = False):
     """Purify every tensor of the model; returns (model, reports).
 
-    The one purification call.  It walks every nonempty required subset
-    once, highest order first and lexicographic within an order; ``reports``
-    is keyed in that order.  The first pass over a tensor creates the
-    lower-order tensors it deposits into, which are then purified in turn;
-    all moved mass ends in the intercept.  ``tol`` is relative to the input
-    model's scale (its largest |effect value|); it must be finite and >= 0,
-    and ``max_passes`` at least 1.
+    The one purification call.  ``w`` maps every required subset, ``()``
+    included, to its weight table, and all tables are checked before any
+    sweep.  It walks every nonempty required subset once, highest order
+    first and lexicographic within an order; ``reports`` is keyed in that
+    order.  The first pass over a tensor creates the lower-order tensors it
+    deposits into, which are then purified in turn; all moved mass ends in
+    the intercept.  ``tol`` is relative to the input model's scale (its
+    largest |effect value|); it must be finite and >= 0, and ``max_passes``
+    at least 1.
     """
     _check_tol(tol)
     if max_passes < 1:
         raise DomainError(f"max_passes must be at least 1, not {max_passes}")
-    required = required_subsets(model)
-    missing = [u for u in required if u not in w.tables]
-    if missing:
-        raise DomainError(f"weight density missing subsets: {missing}")
+    tables = {u: _weights(w, u, tuple(model.bins[f].n_cells for f in u))
+              for u in required_subsets(model)}
 
     tensors = {u: np.array(e.values, dtype=float) for u, e in model.effects.items()}
     scale = _scale(tensors)
     reports: dict[Subset, ConvergenceReport] = {}
-    for u in sorted(filter(None, required), key=_cascade_order):
+    for u in sorted(filter(None, tables), key=_cascade_order):
         tensors[u], deposits, reports[u] = _purify_subset(
-            tensors[u], _weights(w, u, tensors[u].shape), u, tol, scale,
-            max_passes, strict)
+            tensors[u], tables[u], u, tol, scale, max_passes, strict)
         for axis in reversed(range(len(u))):
             sub = u[:axis] + u[axis + 1:]
             tensors[sub] = tensors.get(sub, 0.0) + deposits[axis]
@@ -395,7 +373,7 @@ def purify_model(model: AdditiveModel, w: WeightDensity, tol: float = 1e-12,
     return AdditiveModel(model.bins, effects), reports
 
 
-def check_purity(model: AdditiveModel, w: WeightDensity, tol: float = 1e-10) -> dict:
+def check_purity(model: AdditiveModel, w: dict, tol: float = 1e-10) -> dict:
     """Report the worst absolute weighted slice mean of every non-intercept tensor.
 
     Returns the dict that ``purefx check`` and ``purify --report`` write:

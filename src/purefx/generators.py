@@ -7,7 +7,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bins import FeatureBins
-from .engine import WeightDensity
 from .errors import DomainError
 from .model import AdditiveModel, EffectTensor
 
@@ -140,12 +139,12 @@ def gen_random_bench(sigma: float, p: int, weight_mode: str, seed: int):
         joint = np.abs(rng.normal(0.0, sigma, size=(p, p)))
         joint /= joint.sum()
     tensor = EffectTensor(("x1", "x2"), values)
-    w = WeightDensity({
+    w = {
         ("x1", "x2"): joint,
         ("x1",): joint.sum(axis=1),
         ("x2",): joint.sum(axis=0),
         (): np.asarray(1.0),
-    })
+    }
     return tensor, w
 
 

@@ -49,6 +49,10 @@ class TreeNode:
             raise DomainError("split node needs exactly one of threshold / label set")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise DomainError(f"non-finite threshold on feature {self.feature!r}")
+        for label in self.label_set or ():
+            if not isinstance(label, str):
+                raise DomainError(f"split on feature {self.feature!r}: "
+                                  f"a label is a string, not {label!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,8 @@ def tree_to_tensor(tree: TreeNode, bins: dict[str, FeatureBins],
     slicing; a label-set split keeps a boolean cell mask.  A tree splitting
     one feature twice yields a 1-D tensor.  Every threshold must be an edge
     of its feature's bins (as ``collect_bins`` makes them), so each cell lies
-    wholly on one side of every split.
+    wholly on one side of every split, and a label set must split a
+    categorical feature.
     """
     feats = tree_features(tree, index)
     if not feats:
@@ -129,6 +134,10 @@ def tree_to_tensor(tree: TreeNode, bins: dict[str, FeatureBins],
             return
         k = axis[node.feature]
         if node.threshold is None:
+            if bins[node.feature].kind != "categorical":
+                raise DomainError(
+                    f"tree {index}: label set splits continuous feature "
+                    f"{node.feature!r}")
             left = np.array([label in node.label_set
                              for label in bins[node.feature].labels])
             sides = box[k] & left, box[k] & ~left

@@ -15,8 +15,7 @@ import numpy as np
 
 from purefx import (AdditiveModel, ConvergenceReport, DegenerateSliceError,
                     DomainError, EffectTensor, FeatureBins, NonConvergenceError,
-                    TreeEnsemble, TreeNode, WeightDensity, predict,
-                    required_subsets)
+                    TreeEnsemble, TreeNode, predict, required_subsets)
 
 FEATURES = ("f1", "f2", "f3")
 LABELS = ("L0", "L1", "L2")
@@ -210,7 +209,7 @@ def oracle_purify_model(model, w, tol=1e-12, max_passes=10_000, strict=False):
     for order in range(max(map(len, tensors), default=0), 0, -1):
         for u in sorted(k for k in tensors if len(k) == order):
             tensors[u], deposits, reports[u] = oracle_purify_subset(
-                tensors[u], w.table(u), u, tol, scale, max_passes, strict)
+                tensors[u], w[u], u, tol, scale, max_passes, strict)
             add_deposits(tensors, u, deposits)
     return tensors, reports
 
@@ -283,8 +282,8 @@ def oracle_model_json(model):
 def oracle_density_json(w):
     """The canonical weight-table JSON, built as one document and dumped whole."""
     return _oracle_dumps({"subsets": [
-        {"vars": list(u), "weights": w.tables[u].tolist()}
-        for u in sorted(w.tables, key=lambda u: (len(u), u))]})
+        {"vars": list(u), "weights": w[u].tolist()}
+        for u in sorted(w, key=lambda u: (len(u), u))]})
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def random_density(rng, model, positive=True):
         shape = tuple(model.bins[f].n_cells for f in u)
         t = np.abs(rng.normal(size=shape)) + (0.05 if positive else 0.0)
         tables[u] = t / t.sum()
-    return WeightDensity(tables)
+    return tables
 
 
 def uniform_density(model):
@@ -338,7 +337,7 @@ def uniform_density(model):
         shape = tuple(model.bins[f].n_cells for f in u)
         t = np.ones(shape)
         tables[u] = t / t.sum()
-    return WeightDensity(tables)
+    return tables
 
 
 def grid_points(model):

@@ -10,12 +10,11 @@ import sys
 
 import numpy as np
 
-from purefx import (AdditiveModel, EffectTensor, FeatureBins,
-                    WeightDensity, check_purity, estimate_density,
-                    gen_boolean_fig1, gen_log_lambda, gen_multiplicative,
-                    gen_random_bench, gen_wright, effect_variance,
-                    ingest_ensemble, model_from_json, model_to_json, predict,
-                    purify_model, unpurified_mass)
+from purefx import (AdditiveModel, EffectTensor, FeatureBins, check_purity,
+                    estimate_density, gen_boolean_fig1, gen_log_lambda,
+                    gen_multiplicative, gen_random_bench, gen_wright,
+                    effect_variance, ingest_ensemble, model_from_json,
+                    model_to_json, predict, purify_model, unpurified_mass)
 from purefx.generators import bench_model, unit_grid_midpoints
 
 from conftest import SCORECARD
@@ -131,10 +130,10 @@ def test_acceptance_05_permutation_and_linearity():
         }
         joint = np.abs(rng.normal(size=shape)) + 0.05
         joint /= joint.sum()
-        w = WeightDensity({("a", "b"): joint, ("a",): joint.sum(axis=1),
-                           ("b",): joint.sum(axis=0), (): np.asarray(1.0)})
-        wT = WeightDensity({("a", "b"): joint.T, ("a",): joint.sum(axis=0),
-                            ("b",): joint.sum(axis=1), (): np.asarray(1.0)})
+        w = {("a", "b"): joint, ("a",): joint.sum(axis=1),
+             ("b",): joint.sum(axis=0), (): np.asarray(1.0)}
+        wT = {("a", "b"): joint.T, ("a",): joint.sum(axis=0),
+              ("b",): joint.sum(axis=1), (): np.asarray(1.0)}
         binsT = {
             "a": FeatureBins("a", "continuous",
                              edges=tuple(np.arange(1.0, shape[1]))),
@@ -212,8 +211,8 @@ def test_acceptance_06_purity_and_preservation():
 def test_acceptance_07_log_lambda_demo():
     n = 64
     joint = np.full((n, n), 1.0 / (n * n))
-    w = WeightDensity({("x1", "x2"): joint, ("x1",): np.full(n, 1.0 / n),
-                       ("x2",): np.full(n, 1.0 / n), (): np.asarray(1.0)})
+    w = {("x1", "x2"): joint, ("x1",): np.full(n, 1.0 / n),
+         ("x2",): np.full(n, 1.0 / n), (): np.asarray(1.0)}
 
     def share(model):
         per = {u: effect_variance(model.effects[u], w)
@@ -254,8 +253,8 @@ def test_acceptance_07_log_lambda_demo():
 def test_acceptance_08_multiplicative_identifiability():
     n = 32
     joint = np.full((n, n), 1.0 / (n * n))
-    w = WeightDensity({("x1", "x2"): joint, ("x1",): np.full(n, 1.0 / n),
-                       ("x2",): np.full(n, 1.0 / n), (): np.asarray(1.0)})
+    w = {("x1", "x2"): joint, ("x1",): np.full(n, 1.0 / n),
+         ("x2",): np.full(n, 1.0 / n), (): np.asarray(1.0)}
     outs = []
     for alpha, beta in ((0.0, 0.0), (-1.0, -1.0), (1.0, -1.0)):
         out, _ = purify_model(

@@ -53,6 +53,13 @@ def test_edges_must_be_finite():
         FeatureBins("x", "continuous", edges=(0.0, float("inf")))
 
 
+@pytest.mark.parametrize("label", [None, 5, -1, 0.5, True, float("nan"), [1]])
+def test_labels_must_be_strings(label):
+    with pytest.raises(DomainError) as exc:
+        FeatureBins("x", "categorical", labels=("a", label))
+    assert str(exc.value) == f"feature 'x': a label is a string, not {label!r}"
+
+
 def test_labels_must_be_distinct():
     with pytest.raises(DomainError):
         FeatureBins("x", "categorical", labels=("a", "a"))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ from purefx import (AdditiveModel, EffectTensor, FeatureBins, TreeEnsemble,
                     estimate_density, gen_boolean_fig1, gen_log_lambda,
                     gen_random_bench, model_from_json, model_to_json,
                     purify_model)
+from purefx import cli
 from purefx.generators import bench_model
 
 # A child with block-buffered stdout: output that is never flushed is lost.
@@ -169,6 +172,24 @@ def test_predict_round_trip_agrees_after_purify(tmp_path):
     assert np.allclose(a, b, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [0, 1, 10_000])
+def test_predict_csv_bytes_match_csv_writer(tmp_path, monkeypatch, n):
+    rng = np.random.default_rng(n)
+    values = np.concatenate([[-0.0, 5e-324, -1e300, 1 / 3],
+                             rng.normal(scale=1e6, size=n)])[:n]
+    monkeypatch.setattr(cli, "predict", lambda model, data: values)
+    src, data, out = (tmp_path / name for name in ("a.json", "d.csv", "p.csv"))
+    src.write_text(model_to_json(gen_boolean_fig1("a")))
+    data.write_text("x1,x2\n")
+    assert cli.main(["predict", "--model", str(src), "--data", str(data),
+                     "--out", str(out)]) == 0
+    oracle = io.StringIO()
+    writer = csv.writer(oracle)
+    writer.writerow(["prediction"])
+    writer.writerows([repr(v)] for v in values.tolist())
+    assert out.read_bytes() == oracle.getvalue().encode()
+
+
 def test_csv_row_with_wrong_field_count_exits_2(tmp_path):
     src = tmp_path / "a.json"
     src.write_text(model_to_json(gen_boolean_fig1("a")))
@@ -183,6 +204,19 @@ def test_csv_row_with_wrong_field_count_exits_2(tmp_path):
             err = json.loads(res.stderr)
             assert err == {"error": "DomainError",
                            "message": f"{data}, {what}"}
+
+
+def test_intercept_only_predict_on_header_only_and_blank_csv(tmp_path, capsys):
+    src, data, out = (tmp_path / name for name in ("m.json", "d.csv", "p.csv"))
+    src.write_text('{"features": [], "effects": [{"vars": [], "values": 1.5}]}')
+    argv = ["predict", "--model", str(src), "--data", str(data), "--out", str(out)]
+    data.write_text("x\n")
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == b"prediction\r\n"
+    data.write_text("\n")
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DomainError", "message": f"{data}: empty CSV"}
 
 
 def test_repeated_csv_header_name_exits_2(tmp_path):
@@ -320,6 +354,20 @@ def test_feature_name_that_is_not_a_string_exits_2(tmp_path, flag, doc, message)
     assert res.returncode == 2, res.stderr
     assert res.stderr.count("\n") == 1
     assert json.loads(res.stderr) == {"error": "DomainError", "message": message}
+
+
+@pytest.mark.parametrize("bad", ["null", "5", "-1", "0.5", "true", "NaN",
+                                 "Infinity"])
+def test_label_that_is_not_a_string_exits_2(tmp_path, capsys, bad):
+    split = ('{"split": "c", "threshold": {"labels": ["a", %s]}, '
+             '"left": {"leaf": 1}, "right": {"leaf": 2}}' % bad)
+    src = tmp_path / "ens.json"
+    src.write_text('{"trees": [%s]}' % split)
+    assert cli.main(["purify", "--ensemble", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    message = json.loads(err)["message"]
+    assert message.startswith("tree 0: split on feature 'c': a label is a string")
 
 
 @pytest.mark.parametrize("argv, message", [

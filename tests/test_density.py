@@ -27,26 +27,26 @@ def test_required_subsets_of_pair_model():
 
 def test_uniform_is_quarter_per_cell():
     w = estimate_density(boolean_model(), "uniform")
-    assert np.array_equal(w.table(("x1", "x2")), np.full((2, 2), 0.25))
-    assert np.array_equal(w.table(("x1",)), np.array([0.5, 0.5]))
-    assert float(w.table(())) == 1.0
+    assert np.array_equal(w[("x1", "x2")], np.full((2, 2), 0.25))
+    assert np.array_equal(w[("x1",)], np.array([0.5, 0.5]))
+    assert float(w[()]) == 1.0
 
 
 def test_uniform_ignores_any_dataset():
     data = boolean_rows([(0, 0)] * 5)
     a = estimate_density(boolean_model(), "uniform")
     b = estimate_density(boolean_model(), "uniform", data)
-    for u in a.tables:
-        assert np.array_equal(a.table(u), b.table(u))
+    for u in a:
+        assert np.array_equal(a[u], b[u])
 
 
 def test_empirical_counts_normalized():
     data = boolean_rows([(0, 0), (0, 0), (1, 1), (0, 1)])
     w = estimate_density(boolean_model(), "empirical", data)
-    assert np.array_equal(w.table(("x1", "x2")),
+    assert np.array_equal(w[("x1", "x2")],
                           np.array([[0.5, 0.25], [0.0, 0.25]]))
-    assert np.array_equal(w.table(("x1",)), np.array([0.75, 0.25]))
-    assert np.array_equal(w.table(("x2",)), np.array([0.5, 0.5]))
+    assert np.array_equal(w[("x1",)], np.array([0.75, 0.25]))
+    assert np.array_equal(w[("x2",)], np.array([0.5, 0.5]))
 
 
 def test_empirical_marginals_consistent_with_joint():
@@ -54,32 +54,32 @@ def test_empirical_marginals_consistent_with_joint():
     data = boolean_rows([(int(a), int(b))
                          for a, b in rng.integers(0, 2, size=(40, 2))])
     w = estimate_density(boolean_model(), "empirical", data)
-    joint = w.table(("x1", "x2"))
-    assert np.allclose(joint.sum(axis=1), w.table(("x1",)))
-    assert np.allclose(joint.sum(axis=0), w.table(("x2",)))
+    joint = w[("x1", "x2")]
+    assert np.allclose(joint.sum(axis=1), w[("x1",)])
+    assert np.allclose(joint.sum(axis=0), w[("x2",)])
 
 
 def test_laplace_adds_one_to_every_cell():
     data = boolean_rows([(0, 0), (0, 0), (1, 1), (0, 1)])
     w = estimate_density(boolean_model(), "laplace", data)
-    assert np.array_equal(w.table(("x1", "x2")),
+    assert np.array_equal(w[("x1", "x2")],
                           np.array([[3.0, 2.0], [1.0, 2.0]]) / 8.0)
 
 
 def test_laplace_is_strictly_positive_even_for_unseen_cells():
     data = boolean_rows([(0, 0)])
     w = estimate_density(boolean_model(), "laplace", data)
-    for u in w.tables:
-        assert np.all(w.table(u) > 0)
+    for u in w:
+        assert np.all(w[u] > 0)
 
 
 def test_every_table_sums_to_one():
     data = boolean_rows([(0, 1), (1, 0), (1, 1)])
     for mode in ("uniform", "empirical", "laplace"):
         w = estimate_density(boolean_model(), mode, data)
-        for u in w.tables:
-            assert w.table(u).sum() == pytest.approx(1.0)
-            assert np.all(w.table(u) >= 0)
+        for u in w:
+            assert w[u].sum() == pytest.approx(1.0)
+            assert np.all(w[u] >= 0)
 
 
 def test_counting_modes_require_data():
@@ -96,15 +96,15 @@ def test_single_values_count_as_one_row(mode):
     model = gen_boolean_fig1("a")
     one = estimate_density(model, mode, {"x1": 0.3, "x2": 0.7})
     row = estimate_density(model, mode, {"x1": [0.3], "x2": [0.7]})
-    assert one.tables.keys() == row.tables.keys()
-    for u in row.tables:
-        assert np.array_equal(one.table(u), row.table(u))
+    assert one.keys() == row.keys()
+    for u in row:
+        assert np.array_equal(one[u], row[u])
 
 
 @pytest.mark.parametrize("mode", ["uniform", "empirical", "laplace"])
 def test_intercept_only_table_is_exactly_one(mode):
     w = estimate_density(AdditiveModel({}, {}), mode, {"x1": ["0.1", "0.9"]})
-    assert w.table(()) == 1.0
+    assert w[()] == 1.0
 
 
 def test_unknown_mode_rejected():
@@ -146,7 +146,7 @@ def test_unknown_categorical_label_rejected():
 def test_value_on_edge_counts_in_upper_cell():
     data = boolean_rows([(0.5, 0.2)])
     w = estimate_density(boolean_model(), "empirical", data)
-    assert w.table(("x1", "x2"))[1, 0] == 1.0
+    assert w[("x1", "x2")][1, 0] == 1.0
 
 
 def test_continuous_strings_parse_like_numbers():
@@ -154,7 +154,7 @@ def test_continuous_strings_parse_like_numbers():
     num_rows = boolean_rows([(0.7, 0.1)])
     a = estimate_density(boolean_model(), "empirical", str_rows)
     b = estimate_density(boolean_model(), "empirical", num_rows)
-    assert np.array_equal(a.table(("x1", "x2")), b.table(("x1", "x2")))
+    assert np.array_equal(a[("x1", "x2")], b[("x1", "x2")])
 
 
 def test_dataset_from_csv(tmp_path):
@@ -163,24 +163,31 @@ def test_dataset_from_csv(tmp_path):
     data = dataset_from_csv(p)
     assert data == {"x1": ("0.1", "0.8"), "x2": ("0.9", "0.2")}
     w = estimate_density(boolean_model(), "empirical", data)
-    assert np.array_equal(w.table(("x1", "x2")),
+    assert np.array_equal(w[("x1", "x2")],
                           np.array([[0.0, 0.5], [0.5, 0.0]]))
 
 
 def test_empty_csv_rejected(tmp_path):
     p = tmp_path / "empty.csv"
-    p.write_text("")
-    with pytest.raises(DomainError):
-        dataset_from_csv(p)
+    for text in ("", "\n", "\r\n\n"):
+        p.write_text(text)
+        with pytest.raises(DomainError, match="empty CSV"):
+            dataset_from_csv(p)
+
+
+def test_blank_lines_before_the_header_are_skipped(tmp_path):
+    p = tmp_path / "data.csv"
+    p.write_text("\n\nx1,x2\n\n0.1,0.9\n")
+    assert dataset_from_csv(p) == {"x1": ("0.1",), "x2": ("0.9",)}
 
 
 def test_density_json_round_trip():
     data = boolean_rows([(0, 0), (1, 1), (1, 0)])
     w = estimate_density(boolean_model(), "laplace", data)
     subsets = json.loads(density_to_json(w))["subsets"]
-    assert {tuple(s["vars"]) for s in subsets} == set(w.tables)
+    assert {tuple(s["vars"]) for s in subsets} == set(w)
     for s in subsets:
-        assert np.array_equal(np.array(s["weights"]), w.table(s["vars"]))
+        assert np.array_equal(np.array(s["weights"]), w[tuple(s["vars"])])
 
 
 def test_estimated_densities_drive_the_purifier():

@@ -7,8 +7,8 @@ import pytest
 
 from purefx import (AdditiveModel, DegenerateSliceError, DomainError,
                     EffectTensor, FeatureBins, NonConvergenceError,
-                    WeightDensity, check_purity, effect_variance,
-                    estimate_density, gen_boolean_fig1, gen_random_bench,
+                    check_purity, effect_variance, estimate_density,
+                    gen_boolean_fig1, gen_random_bench, model_to_json,
                     purify_model, unpurified_mass)
 from purefx.engine import _Anderson, _purify_subset
 from purefx.generators import bench_model
@@ -20,12 +20,12 @@ from helpers import (add_deposits, grid_predictions, oracle_fixed_point,
 
 
 def boolean_uniform_density():
-    return WeightDensity({
+    return {
         ("x1", "x2"): np.full((2, 2), 0.25),
         ("x1",): np.array([0.5, 0.5]),
         ("x2",): np.array([0.5, 0.5]),
         (): np.asarray(1.0),
-    })
+    }
 
 
 # --------------------------------------------------------------------------
@@ -66,12 +66,12 @@ def test_purify_random_3x3_against_loop_oracle():
         joint /= joint.sum()
         bins = {n: FeatureBins(n, "continuous", edges=(0.0, 1.0)) for n in ("a", "b")}
         m = AdditiveModel(bins, {("a", "b"): EffectTensor(("a", "b"), vals)})
-        w = WeightDensity({
+        w = {
             ("a", "b"): joint,
             ("a",): joint.sum(axis=1),
             ("b",): joint.sum(axis=0),
             (): np.asarray(1.0),
-        })
+        }
         out, _ = purify_model(m, w)
         means = oracle_slice_means(out.effects[("a", "b")].values, joint)
         assert max(abs(x) for x in means) <= 1e-10
@@ -87,7 +87,7 @@ def test_purify_preserves_predictions():
 
 def test_purify_missing_subset_errors():
     m = gen_boolean_fig1("a")
-    w = WeightDensity({("x1", "x2"): np.full((2, 2), 0.25)})
+    w = {("x1", "x2"): np.full((2, 2), 0.25)}
     with pytest.raises(DomainError):
         purify_model(m, w)
 
@@ -136,7 +136,7 @@ def test_returned_cube_is_pure_by_its_own_values():
         out, reports = purify_model(m, w)
         assert reports[("a", "b", "c")].passes > 1
         means = oracle_slice_means(out.effects[("a", "b", "c")].values,
-                                   w.table(("a", "b", "c")))
+                                   w[("a", "b", "c")])
         assert max(abs(x) for x in means) <= 1e-12 * scale
 
 
@@ -149,7 +149,7 @@ def test_cube_nonconvergence_reports_the_recomputed_worst_mean():
         purify_model(m, w, max_passes=1)
     assert exc.value.report.passes == 1
     assert len(exc.value.report.trace) == 4
-    T0, W = m.effects[u].values, w.table(u)
+    T0, W = m.effects[u].values, w[u]
     scale = float(np.max(np.abs(T0)))
     with pytest.raises(NonConvergenceError):
         oracle_purify_subset(T0, W, u, 1e-12, scale, 1, False)
@@ -234,7 +234,7 @@ def _matches_oracle(m, w, strict=False):
     tensors = {u: np.array(e.values, dtype=float) for u, e in m.effects.items()}
     swept, early = [], None
     for u, report in reports.items():
-        T0, W = tensors[u], w.table(u)
+        T0, W = tensors[u], w[u]
         ref_T, ref_D, ref = oracle_purify_subset(T0, W, u, 1e-12, scale, 10_000,
                                                  strict)
         T, D, got = _purify_subset(T0, W, u, 1e-12, scale, 10_000, strict)
@@ -291,7 +291,7 @@ def test_running_sums_match_the_full_tensor_oracle():
         seen["strict passed"] += strict
         reports, want_reports = matched
         mixed += any(map(_mixing_starts, want_reports.values()))
-        tables = [w.table(u) for u in reports]
+        tables = [w[u] for u in reports]
         seen["zero cells"] += any(np.any(t == 0.0) for t in tables)
         seen["zero slices"] += any(np.any(t.sum(axis=a) == 0.0)
                                    for t in tables for a in range(t.ndim))
@@ -341,7 +341,7 @@ def test_sweep_lands_on_the_closed_form_fixed_point():
     rng = np.random.default_rng(61)
     cases = [_sparse_tensor(rng, k) for k in (2, 3) for _ in range(20)]
     u = ("x0", "x1", "x2")
-    cases += [(m.effects[u].values, w.table(u)) for m, w in _beta_cubes()]
+    cases += [(m.effects[u].values, w[u]) for m, w in _beta_cubes()]
     for T0, W in cases:
         scale = float(np.max(np.abs(T0)))
         T, D, _ = _purify_subset(T0, W, u[:T0.ndim], 1e-15, scale, 10_000, False)
@@ -353,14 +353,14 @@ def test_sweep_lands_on_the_closed_form_fixed_point():
 def test_sweep_leaves_its_inputs_unchanged():
     m, w = next(_beta_cubes())
     u = ("x0", "x1", "x2")
-    T0, W = m.effects[u].values.copy(), w.table(u).copy()
+    T0, W = m.effects[u].values.copy(), w[u].copy()
     T0.setflags(write=False)
     W.setflags(write=False)
     _, _, report = _purify_subset(T0, W, u, 1e-12, float(np.max(np.abs(T0))),
                                   10_000, False)
     assert report.passes > 1
     assert np.array_equal(T0, m.effects[u].values)
-    assert np.array_equal(W, w.table(u))
+    assert np.array_equal(W, w[u])
 
 
 def test_mixing_cuts_the_passes_on_sparse_cubes():
@@ -371,7 +371,7 @@ def test_mixing_cuts_the_passes_on_sparse_cubes():
         out, reports = purify_model(m, w)
         scale = max(float(np.max(np.abs(e.values))) for k, e in m.effects.items()
                     if k)
-        _, _, plain = oracle_purify_subset(m.effects[u].values, w.table(u), u,
+        _, _, plain = oracle_purify_subset(m.effects[u].values, w[u], u,
                                            1e-12, scale, 10_000, False)
         start = _mixing_starts(plain)
         assert reports[u].passes - start <= (plain.passes - start) / 3
@@ -407,12 +407,12 @@ def test_degenerate_slice_skipped_by_default_and_fatal_in_strict():
     bins = {n: FeatureBins(n, "continuous", edges=(0.5,)) for n in ("a", "b")}
     m = AdditiveModel(bins,
                       {("a", "b"): EffectTensor(("a", "b"), np.ones((2, 2)))})
-    w = WeightDensity({
+    w = {
         ("a", "b"): joint,
         ("a",): np.array([1.0, 0.0]),
         ("b",): np.array([0.5, 0.5]),
-    })
-    w = WeightDensity({**w.tables, (): np.asarray(1.0)})
+        (): np.asarray(1.0),
+    }
     out, _ = purify_model(m, w)
     # the zero-weight row cannot hold mass; the cascade still ends pure
     report = check_purity(out, w)
@@ -475,7 +475,7 @@ def test_mass_random_matches_loop_oracle():
         joint = np.abs(rng.normal(size=shape)) + 0.01
         joint /= joint.sum()
         t = EffectTensor(("a", "b"), vals)
-        w = WeightDensity({("a", "b"): joint})
+        w = {("a", "b"): joint}
         assert unpurified_mass(t, w) == pytest.approx(
             oracle_matrix_mass(vals, joint), rel=1e-12)
 
@@ -494,27 +494,29 @@ def test_check_purity_flags_fig1a():
 
 def test_check_purity_intercept_only_is_vacuous_pass():
     m = AdditiveModel({}, {(): EffectTensor((), np.asarray(2.0))})
-    report = check_purity(m, WeightDensity({(): np.asarray(1.0)}))
+    report = check_purity(m, {(): np.asarray(1.0)})
     assert report["pass"]
     assert report["max_abs_slice_mean"] == 0.0
 
 
 def test_purify_model_intercept_only_unchanged():
     m = AdditiveModel({}, {(): EffectTensor((), np.asarray(2.0))})
-    out, reports = purify_model(m, WeightDensity({(): np.asarray(1.0)}))
+    out, reports = purify_model(m, {(): np.asarray(1.0)})
     assert out.intercept == 2.0
     assert reports == {}
 
 
-@pytest.mark.parametrize("call", [
+_READERS = pytest.mark.parametrize("call", [
     purify_model,
     check_purity,
     lambda m, w: unpurified_mass(m.effects[("x1", "x2")], w),
     lambda m, w: effect_variance(m.effects[("x1", "x2")], w),
 ], ids=["purify_model", "check_purity", "unpurified_mass", "effect_variance"])
+
+
+@_READERS
 def test_mis_shaped_weight_table_rejected_with_one_message(call):
-    w = WeightDensity({**boolean_uniform_density().tables,
-                       ("x1", "x2"): np.full((3, 2), 1 / 6)})
+    w = {**boolean_uniform_density(), ("x1", "x2"): np.full((3, 2), 1 / 6)}
     with pytest.raises(DomainError, match=re.escape(
             "weights for ('x1', 'x2') have shape (3, 2), tensor (2, 2)")):
         call(gen_boolean_fig1("a"), w)
@@ -522,14 +524,46 @@ def test_mis_shaped_weight_table_rejected_with_one_message(call):
 
 def test_purify_model_missing_weight_subset_errors_before_mutation():
     m = gen_boolean_fig1("a")
-    w = WeightDensity({
+    w = {
         ("x1", "x2"): np.full((2, 2), 0.25),
         ("x1",): np.array([0.5, 0.5]),
         ("x2",): np.array([0.5, 0.5]),
         # intercept table missing
-    })
-    with pytest.raises(DomainError, match="missing subsets"):
+    }
+    with pytest.raises(DomainError, match=re.escape("no weight table for subset ()")):
         purify_model(m, w)
+
+
+def _pair_table(entries):
+    return {**boolean_uniform_density(), ("x1", "x2"): np.array(entries)}
+
+
+@_READERS
+@pytest.mark.parametrize("w, message", [
+    ({u: t for u, t in boolean_uniform_density().items() if u != ("x1", "x2")},
+     "no weight table for subset ('x1', 'x2')"),
+    (_pair_table([[np.nan, 0.25], [0.25, 0.25]]),
+     "weights for ('x1', 'x2'): entries must be finite and >= 0"),
+    (_pair_table([[-0.25, 0.5], [0.5, 0.25]]),
+     "weights for ('x1', 'x2'): entries must be finite and >= 0"),
+    (_pair_table([[0.25 + 1e-9, 0.25], [0.25, 0.25]]),
+     "weights for ('x1', 'x2'): sum 1.000000001 != 1"),
+], ids=["missing", "nan", "negative", "sum"])
+def test_bad_weight_table_rejected_by_every_reader(call, w, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(gen_boolean_fig1("a"), w)
+
+
+def test_weight_tables_as_nested_lists_purify_as_arrays():
+    m = random_model(np.random.default_rng(5))
+    w = random_density(np.random.default_rng(6), m)
+    lists = {u: t.tolist() for u, t in w.items()}
+    out, reports = purify_model(m, w)
+    from_lists, list_reports = purify_model(m, lists)
+    assert model_to_json(from_lists) == model_to_json(out)
+    assert ([r.trace for r in list_reports.values()]
+            == [r.trace for r in reports.values()])
+    assert check_purity(out, lists) == check_purity(out, w)
 
 
 def test_purify_model_random_instances_pure_and_prediction_preserving():
@@ -545,7 +579,7 @@ def test_purify_model_random_instances_pure_and_prediction_preserving():
         # verify purity with the loop oracle too
         for u, eff in out.effects.items():
             if u:
-                means = oracle_slice_means(eff.values, w.table(u))
+                means = oracle_slice_means(eff.values, w[u])
                 assert max((abs(x) for x in means), default=0.0) <= 1e-10
 
 
@@ -578,12 +612,12 @@ def test_uniform_weights_converge_in_one_pass_any_shape():
                              edges=tuple(np.arange(1, shape[1], dtype=float))),
         }
         m = AdditiveModel(bins, {("a", "b"): EffectTensor(("a", "b"), vals)})
-        w = WeightDensity({
+        w = {
             ("a", "b"): joint,
             ("a",): joint.sum(axis=1),
             ("b",): joint.sum(axis=0),
             (): np.asarray(1.0),
-        })
+        }
         _, reports = purify_model(m, w, max_passes=1)
         report = reports[("a", "b")]
         assert report.final_mass <= 1e-10 * report.initial_mass
@@ -625,7 +659,7 @@ def test_permutation_equivariance():
             u: EffectTensor(u, v)
             for u, v in apply({u: e.values for u, e in m.effects.items()}).items()
         })
-        pw = WeightDensity(apply(dict(w.tables)))
+        pw = apply(dict(w))
         direct, _ = purify_model(m, w)
         permuted, _ = purify_model(pm, pw)
         unpermuted = apply({u: e.values for u, e in permuted.effects.items()},
@@ -655,12 +689,12 @@ def test_purification_is_linear_in_the_interaction():
         beta = 1.0 - alpha
         joint = np.abs(rng.normal(size=shape)) + 0.05
         joint /= joint.sum()
-        w = WeightDensity({
+        w = {
             ("a", "b"): joint,
             ("a",): joint.sum(axis=1),
             ("b",): joint.sum(axis=0),
             (): np.asarray(1.0),
-        })
+        }
 
         def purified(inter):
             m = AdditiveModel(bins, {
@@ -745,7 +779,7 @@ def test_sparse_cubed_rows_converge():
     scale = max(float(np.max(np.abs(e.values))) for u, e in m.effects.items()
                 if u)
     with pytest.raises(NonConvergenceError):
-        oracle_purify_subset(m.effects[names].values, w.table(names), names,
+        oracle_purify_subset(m.effects[names].values, w[names], names,
                              1e-12, scale, 100, False)
     out, reports = purify_model(m, w)
     assert reports[names].passes <= 250

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from purefx import (AdditiveModel, DomainError, WeightDensity, check_purity,
+from purefx import (AdditiveModel, DomainError, check_purity,
                     effect_variance, gen_boolean_fig1, gen_log_lambda,
                     gen_multiplicative, gen_random_bench, gen_wright, predict,
                     purify_model, unpurified_mass)
@@ -20,12 +20,12 @@ def boolean_points(names):
 
 def grid_density(n):
     joint = np.full((n, n), 1.0 / (n * n))
-    return WeightDensity({
+    return {
         ("x1", "x2"): joint,
         ("x1",): np.full(n, 1.0 / n),
         ("x2",): np.full(n, 1.0 / n),
         (): np.asarray(1.0),
-    })
+    }
 
 
 # --------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_bench_is_deterministic_per_seed():
     a, wa = gen_random_bench(10.0, 25, "random", seed=7)
     b, wb = gen_random_bench(10.0, 25, "random", seed=7)
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(wa.table(("x1", "x2")), wb.table(("x1", "x2")))
+    assert np.array_equal(wa[("x1", "x2")], wb[("x1", "x2")])
     c, _ = gen_random_bench(10.0, 25, "random", seed=8)
     assert not np.array_equal(a.values, c.values)
 

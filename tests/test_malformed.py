@@ -1,0 +1,153 @@
+"""Every malformed input exits 0, 2, 3 or 4, never with a traceback.
+
+One sweep of mutations over each input format: a model document, an
+ensemble document (a threshold split and a label-set split) and a data CSV.
+Each mutated input goes through ``cli.main`` for ``purify`` under uniform
+and empirical weights and for ``predict``.  A nonzero return must write
+exactly one JSON line to stderr.  The sweep is deterministic.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import sys
+
+from purefx import cli
+
+MODEL = {
+    "features": [
+        {"name": "c", "kind": "categorical", "labels": ["a", "b"]},
+        {"name": "x", "kind": "continuous", "edges": [0.5, 1.5]},
+    ],
+    "effects": [
+        {"vars": [], "values": 0.5},
+        {"vars": ["c"], "values": [1.0, -1.0]},
+        {"vars": ["c", "x"], "values": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]},
+    ],
+}
+
+ENSEMBLE = {
+    "base_score": 0.5,
+    "trees": [
+        {"split": "x", "threshold": 0.5, "left": {"leaf": 1.0},
+         "right": {"split": "c", "threshold": {"labels": ["a"]},
+                   "left": {"leaf": 2.0}, "right": {"leaf": 3.0}}},
+        {"split": "c", "threshold": {"labels": ["b"]},
+         "left": {"leaf": -1.0}, "right": {"leaf": 1.0}},
+    ],
+}
+
+# Written as JSON with NaN and Infinity tokens, which json.loads accepts.
+BAD_VALUES = [None, 5, -1, 0.5, "s", "", [], {}, [1], ["a"], {"a": 1}, True,
+              math.nan, math.inf, [[1]], "x"]
+
+CSV_ROWS = [["x", "c"], ["0.1", "a"], ["1.0", "b"], ["2.0", "a"]]
+
+BAD_CELLS = ["", " ", "s", "nan", "inf", "-inf", "1e400", "-1", "0.5", "1_000",
+             "a", "b", "x", "c", '"', "#"]
+
+EXIT_CODES = {0, 2, 3, 4}
+
+
+def _paths(doc, path=()):
+    """Every path into ``doc``, the root's ``()`` first."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _csv_mutations():
+    """(name, rows) of each mutated CSV: a header field, one cell, a field count."""
+    for r, row in enumerate(CSV_ROWS):
+        for c in range(len(row)):
+            for bad in BAD_CELLS:
+                rows = [list(x) for x in CSV_ROWS]
+                rows[r][c] = bad
+                yield f"row {r} field {c} = {bad!r}", rows
+        if r:
+            yield f"row {r} short", CSV_ROWS[:r] + [row[:-1]] + CSV_ROWS[r + 1:]
+            yield f"row {r} long", CSV_ROWS[:r] + [row + ["1"]] + CSV_ROWS[r + 1:]
+
+
+def _run(argv, stdin):
+    """``cli.main(argv)`` on ``stdin``; returns (code, stderr) or the exception."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return cli.main(argv), err.getvalue()
+    except Exception as exc:  # any escape is a finding
+        return exc, err.getvalue()
+    finally:
+        sys.stdin = saved
+
+
+def _violation(code, stderr):
+    """Why a run breaks the exit rule, or None if it keeps it."""
+    if isinstance(code, BaseException):
+        return f"raised {type(code).__name__}: {code}"
+    if code not in EXIT_CODES:
+        return f"exit {code}"
+    if code == 0:
+        return None
+    lines = stderr.splitlines()
+    if len(lines) != 1 or not stderr.endswith("\n"):
+        return f"exit {code} with {len(lines)} stderr lines"
+    try:
+        doc = json.loads(lines[0])
+    except ValueError:
+        return f"exit {code} with a non-JSON stderr line {lines[0]!r}"
+    if not isinstance(doc, dict) or set(doc) != {"error", "message"}:
+        return f"exit {code} with stderr {lines[0]!r}"
+    return None
+
+
+def test_every_malformed_input_exits_with_one_json_error_line(tmp_path):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("\n".join(map(",".join, CSV_ROWS)) + "\n")
+    commands = [["purify"],
+                ["purify", "--weights", "empirical", "--data", str(csv_path)],
+                ["predict", "--data", str(csv_path)]]
+    failures, runs = [], 0
+
+    for flag, doc in (("--model", MODEL), ("--ensemble", ENSEMBLE)):
+        for path in _paths(doc):
+            for bad in BAD_VALUES:
+                text = json.dumps(_replaced(doc, path, bad))
+                for command in commands:
+                    code, stderr = _run([*command, flag, "-"], text)
+                    runs += 1
+                    why = _violation(code, stderr)
+                    if why:
+                        failures.append((flag, path, bad, command[0], why))
+
+    for i, (name, rows) in enumerate(_csv_mutations()):
+        mutated = tmp_path / f"mutated{i}.csv"
+        mutated.write_text("\n".join(map(",".join, rows)) + "\n")
+        for flag, doc in (("--model", MODEL), ("--ensemble", ENSEMBLE)):
+            for command in (["purify", "--weights", "empirical"], ["predict"]):
+                code, stderr = _run(
+                    [*command, "--data", str(mutated), flag, "-"], json.dumps(doc))
+                runs += 1
+                why = _violation(code, stderr)
+                if why:
+                    failures.append((flag, name, command[0], why))
+
+    assert runs > 3000
+    assert not failures, f"{len(failures)} of {runs} runs: {failures[:20]}"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from purefx import (AdditiveModel, DomainError, EffectTensor, FeatureBins,
-                    WeightDensity, density_to_json, effect_variance,
-                    gen_boolean_fig1, gen_log_lambda, gen_multiplicative,
-                    gen_wright, model_from_json, model_to_json, predict)
+                    density_to_json, effect_variance, gen_boolean_fig1,
+                    gen_log_lambda, gen_multiplicative, gen_wright,
+                    model_from_json, model_to_json, predict)
 from purefx.density import bin_dataset
 from purefx.generators import WRIGHT_COEFFS
 
@@ -114,25 +114,25 @@ def test_columns_match_the_loop_oracle():
 
 def test_effect_variance_fig1d_interaction():
     m = gen_boolean_fig1("d")
-    w = WeightDensity({("x1", "x2"): np.full((2, 2), 0.25)})
+    w = {("x1", "x2"): np.full((2, 2), 0.25)}
     assert effect_variance(m.effects[("x1", "x2")], w) == pytest.approx(0.0625)
 
 
 def test_effect_variance_constant_tensor_is_zero():
     t = EffectTensor(("x",), np.full(3, 7.0))
-    w = WeightDensity({("x",): np.array([0.2, 0.5, 0.3])})
+    w = {("x",): np.array([0.2, 0.5, 0.3])}
     assert effect_variance(t, w) == 0.0
 
 
 def test_effect_variance_two_cells():
     t = EffectTensor(("x",), np.array([1.0, -1.0]))
-    w = WeightDensity({("x",): np.array([0.5, 0.5])})
+    w = {("x",): np.array([0.5, 0.5])}
     assert effect_variance(t, w) == pytest.approx(1.0)
 
 
 def test_effect_variance_shape_mismatch():
     t = EffectTensor(("x",), np.array([1.0, -1.0]))
-    w = WeightDensity({("x",): np.array([0.2, 0.3, 0.5])})
+    w = {("x",): np.array([0.2, 0.3, 0.5])}
     with pytest.raises(DomainError):
         effect_variance(t, w)
 

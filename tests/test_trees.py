@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from purefx import (DomainError, TreeEnsemble, TreeNode, UnsupportedTreeError,
-                    check_purity, collect_bins, ensemble_from_json,
-                    ensemble_to_json, gen_boolean_fig1, ingest_ensemble,
-                    predict, purify_model, tree_to_tensor)
+from purefx import (DomainError, FeatureBins, TreeEnsemble, TreeNode,
+                    UnsupportedTreeError, check_purity, collect_bins,
+                    ensemble_from_json, ensemble_to_json, gen_boolean_fig1,
+                    ingest_ensemble, predict, purify_model, tree_to_tensor)
 
 from helpers import (FEATURES, columns, ensemble_eval, grid_points,
                      oracle_tree_tensor, random_ensemble, random_points,
@@ -227,6 +227,23 @@ def test_off_edge_threshold_message():
     assert str(exc.value) == "tree 3: threshold 0.3 is not a bin edge of feature 'x'"
 
 
+def test_split_kind_must_match_the_feature_bins():
+    labels = {"x": FeatureBins("x", "categorical", labels=("a", "b"))}
+    with pytest.raises(DomainError) as exc:
+        tree_to_tensor(stump("x", 0.5, 0.0, 1.0), labels, 2)
+    assert str(exc.value) == "tree 2: threshold 0.5 is not a bin edge of feature 'x'"
+    bins = {"x": FeatureBins("x", "continuous", edges=(0.5,)),
+            "y": FeatureBins("y", "categorical", labels=("a", "b"))}
+    on_x = TreeNode(feature="x", label_set=frozenset({"a"}),
+                    left=leaf(0.0), right=leaf(1.0))
+    under_y = TreeNode(feature="y", label_set=frozenset({"a"}),
+                       left=on_x, right=leaf(2.0))
+    for tree in (on_x, under_y):
+        with pytest.raises(DomainError) as exc:
+            tree_to_tensor(tree, bins, 4)
+        assert str(exc.value) == "tree 4: label set splits continuous feature 'x'"
+
+
 # --------------------------------------------------------------------------
 # ingest_ensemble
 # --------------------------------------------------------------------------
@@ -341,3 +358,12 @@ def test_split_node_validation():
                  left=leaf(0.0), right=leaf(1.0))
     with pytest.raises(DomainError, match="a split feature is a string"):
         TreeNode(feature=5, threshold=0.5, left=leaf(0.0), right=leaf(1.0))
+
+
+@pytest.mark.parametrize("label", [None, 5, -1, 0.5, True, float("nan")])
+def test_split_labels_must_be_strings(label):
+    with pytest.raises(DomainError) as exc:
+        TreeNode(feature="c", label_set=frozenset({"a", label}),
+                 left=leaf(0.0), right=leaf(1.0))
+    assert str(exc.value) == (
+        f"split on feature 'c': a label is a string, not {label!r}")
