@@ -25,9 +25,8 @@ _SUBMODULE = {
                      "gen_random_bench", "gen_wright"), "generators"),
     **dict.fromkeys(("AdditiveModel", "EffectTensor", "model_from_json",
                      "model_to_json", "predict"), "model"),
-    **dict.fromkeys(("TreeEnsemble", "TreeNode", "collect_bins",
-                     "ensemble_from_json", "ensemble_to_json",
-                     "ingest_ensemble", "tree_to_tensor"), "trees"),
+    **dict.fromkeys(("TreeEnsemble", "TreeNode", "ensemble_from_json",
+                     "ingest_ensemble"), "trees"),
 }
 
 __all__ = sorted(_SUBMODULE)

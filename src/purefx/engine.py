@@ -55,14 +55,6 @@ class ConvergenceReport:
     trace: list[tuple[int, float]]
     passes: int
 
-    @property
-    def initial_mass(self) -> float:
-        return self.trace[0][1]
-
-    @property
-    def final_mass(self) -> float:
-        return self.trace[-1][1]
-
 
 def _views(flat: np.ndarray, shape: tuple[int, ...]) -> list[np.ndarray]:
     """One view of ``flat`` per axis ``a``, shaped like ``shape`` without ``a``."""

@@ -57,6 +57,10 @@ class AdditiveModel:
     effects: dict[Subset, EffectTensor]
 
     def __post_init__(self):
+        for name, b in self.bins.items():
+            if b.feature_name != name:
+                raise DomainError(
+                    f"bins keyed {name!r} are for feature {b.feature_name!r}")
         effects = {}
         for key, eff in self.effects.items():
             if tuple(key) != eff.vars:
@@ -73,10 +77,6 @@ class AdditiveModel:
         if () not in effects:
             effects[()] = EffectTensor((), np.zeros(()))
         object.__setattr__(self, "effects", effects)
-
-    @property
-    def intercept(self) -> float:
-        return float(self.effects[()].values)
 
 
 def bin_dataset(model: AdditiveModel, data: dict) -> dict[str, np.ndarray]:
@@ -182,18 +182,30 @@ def model_from_dict(doc: dict) -> AdditiveModel:
     for i, f in enumerate(doc["features"]):
         with _entry("feature", i, f):
             if f["kind"] == "continuous":
-                b = FeatureBins(f["name"], "continuous", edges=tuple(f["edges"]))
+                b = FeatureBins(f["name"], "continuous", edges=_list(f, "edges"))
+            elif f["kind"] == "categorical":
+                b = FeatureBins(f["name"], "categorical", labels=_list(f, "labels"))
             else:
-                b = FeatureBins(f["name"], f["kind"], labels=tuple(f["labels"]))
+                b = FeatureBins(f["name"], f["kind"])  # names the unknown kind
+            if b.feature_name in bins:
+                raise DomainError(f"feature {b.feature_name!r} repeats")
         bins[b.feature_name] = b
     effects = {}
     for i, e in enumerate(doc["effects"]):
         with _entry("effect", i, e):
-            key = tuple(e["vars"])
+            key = tuple(_list(e, "vars"))
             if key in effects:
                 raise DomainError(f"duplicate effect subset {key}")
             effects[key] = EffectTensor(key, np.array(e["values"], dtype=float))
     return AdditiveModel(bins, effects)
+
+
+def _list(entry: dict, key: str) -> list:
+    """``entry[key]``, which must be a JSON list: a string is not read as one."""
+    value = entry[key]
+    if not isinstance(value, list):
+        raise DomainError(f"{key} must be a list")
+    return value
 
 
 @contextmanager

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bins import FeatureBins
 from .errors import DomainError, UnsupportedTreeError
-from .model import AdditiveModel, EffectTensor, _entry, dumps_canonical
+from .model import AdditiveModel, EffectTensor, _entry, _list
 
 # Each tree becomes one dense tensor over its split features, whose size is
 # the product of their cell counts; purefx models hold effects of order <= 3.
@@ -71,16 +71,6 @@ def _splits(tree: TreeNode):
             stack += [node.left, node.right]
 
 
-def tree_features(node: TreeNode, index: int = 0) -> tuple[str, ...]:
-    """Sorted distinct split features; errors past ``MAX_TREE_FEATURES``."""
-    feats = tuple(sorted({n.feature for n in _splits(node)}))
-    if len(feats) > MAX_TREE_FEATURES:
-        raise UnsupportedTreeError(
-            f"tree {index} splits on {len(feats)} distinct features "
-            f"{list(feats)}; at most {MAX_TREE_FEATURES} are supported")
-    return feats
-
-
 def collect_bins(ensemble: TreeEnsemble) -> dict[str, FeatureBins]:
     """Global grid per feature: sorted distinct thresholds, or the label union."""
     found: dict[str, tuple[str, set]] = {}
@@ -112,9 +102,14 @@ def tree_to_tensor(tree: TreeNode, bins: dict[str, FeatureBins],
     one feature twice yields a 1-D tensor.  Every threshold must be an edge
     of its feature's bins (as ``collect_bins`` makes them), so each cell lies
     wholly on one side of every split, and a label set must split a
-    categorical feature.
+    categorical feature.  A tree over more than ``MAX_TREE_FEATURES``
+    features raises ``UnsupportedTreeError``.
     """
-    feats = tree_features(tree, index)
+    feats = tuple(sorted({n.feature for n in _splits(tree)}))
+    if len(feats) > MAX_TREE_FEATURES:
+        raise UnsupportedTreeError(
+            f"tree {index} splits on {len(feats)} distinct features "
+            f"{list(feats)}; at most {MAX_TREE_FEATURES} are supported")
     if not feats:
         return EffectTensor((), np.asarray(float(tree.value)))
     for f in feats:
@@ -175,7 +170,7 @@ def ingest_ensemble(ensemble: TreeEnsemble) -> AdditiveModel:
 
 
 # --------------------------------------------------------------------------
-# Canonical ensemble JSON
+# Ensemble JSON
 # --------------------------------------------------------------------------
 
 def _node_from_dict(doc) -> TreeNode:
@@ -188,23 +183,10 @@ def _node_from_dict(doc) -> TreeNode:
     return TreeNode(
         feature=doc["split"],
         threshold=None if labels else float(thr),
-        label_set=frozenset(thr["labels"]) if labels else None,
+        label_set=frozenset(_list(thr, "labels")) if labels else None,
         left=_node_from_dict(doc["left"]),
         right=_node_from_dict(doc["right"]),
     )
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": node.value}
-    thr = (node.threshold if node.threshold is not None
-           else {"labels": sorted(node.label_set)})
-    return {
-        "split": node.feature,
-        "threshold": thr,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
 
 
 def ensemble_from_json(text: str) -> TreeEnsemble:
@@ -224,10 +206,3 @@ def ensemble_from_json(text: str) -> TreeEnsemble:
         raise DomainError(
             f"base_score must be a number, not {base_score!r}") from None
     return TreeEnsemble(trees=tuple(nodes), base_score=base_score)
-
-
-def ensemble_to_json(ensemble: TreeEnsemble) -> str:
-    return dumps_canonical({
-        "base_score": ensemble.base_score,
-        "trees": [_node_to_dict(t) for t in ensemble.trees],
-    })

@@ -286,6 +286,21 @@ def oracle_density_json(w):
         for u in sorted(w, key=lambda u: (len(u), u))]})
 
 
+def _node_doc(node):
+    if node.is_leaf:
+        return {"leaf": node.value}
+    thr = (node.threshold if node.threshold is not None
+           else {"labels": sorted(node.label_set)})
+    return {"split": node.feature, "threshold": thr,
+            "left": _node_doc(node.left), "right": _node_doc(node.right)}
+
+
+def ensemble_to_json(ensemble):
+    """The canonical ensemble JSON, the format ``ensemble_from_json`` reads."""
+    return _oracle_dumps({"base_score": ensemble.base_score,
+                          "trees": [_node_doc(t) for t in ensemble.trees]})
+
+
 # --------------------------------------------------------------------------
 # Random instances
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,8 @@ import pytest
 import purefx
 import purefx.density
 
+from helpers import ensemble_to_json
+
 
 def test_every_public_name_resolves():
     assert len(set(purefx.__all__)) == len(purefx.__all__)
@@ -18,6 +22,31 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from purefx import *", namespace)
     assert set(purefx.__all__) <= namespace.keys()
+
+
+def test_readme_library_examples_run_as_commented():
+    # README's Library blocks run in order in one namespace, as a reader
+    # would paste them; each bare expression must show what its comment says.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+    assert len(blocks) == 2
+    namespace, shown = {}, []
+    for block in blocks:
+        lines = block.splitlines()
+        for stmt in ast.parse(block).body:
+            if isinstance(stmt, ast.Expr):
+                code = compile(ast.Expression(stmt.value), "README.md", "eval")
+                comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+                shown.append((comment, eval(code, namespace)))
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"),
+                     namespace)
+    (c_pass, passed), (c_pred, pred), (c_preds, preds) = shown
+    assert repr(passed) == c_pass == "True"
+    assert c_pred == "unchanged from the input model"
+    assert pred == purefx.predict(namespace["model"], {"x1": 1, "x2": 1})
+    assert repr(preds) == c_preds == "array([ 0., -1.,  0.,  0.])"
 
 
 def fresh_python(*argv, **env):
@@ -97,7 +126,7 @@ def test_bench_traced_run_counts_from_returned_fields(tmp_path, monkeypatch):
                 right=node(feature="x2", threshold=0.5, left=node(value=2.0),
                            right=node(value=-1.0)))
     ens = tmp_path / "ens.json"
-    ens.write_text(purefx.ensemble_to_json(purefx.TreeEnsemble((tree,))))
+    ens.write_text(ensemble_to_json(purefx.TreeEnsemble((tree,))))
     data = tmp_path / "data.csv"
     data.write_text("x1,x2\n0.2,0.2\n0.7,0.3\n0.9,0.8\n")
     pure = str(tmp_path / "pure.json")

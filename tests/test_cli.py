@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from purefx import (AdditiveModel, EffectTensor, FeatureBins, TreeEnsemble,
-                    TreeNode, dataset_from_csv, ensemble_to_json,
-                    estimate_density, gen_boolean_fig1, gen_log_lambda,
-                    gen_random_bench, model_from_json, model_to_json,
-                    purify_model)
+                    TreeNode, dataset_from_csv, estimate_density,
+                    gen_boolean_fig1, gen_log_lambda, gen_random_bench,
+                    model_from_json, model_to_json, purify_model)
 from purefx import cli
 from purefx.generators import bench_model
+
+from helpers import ensemble_to_json
 
 # A child with block-buffered stdout: output that is never flushed is lost.
 BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -330,6 +331,11 @@ FEATURE = {"name": "x1", "kind": "continuous", "edges": [0.5]}
      "effect 0: "),
     ({"features": [FEATURE], "effects": [{"vars": ["x1"]}]},
      "effect 0: lacks the key 'values'"),
+    ({"features": [{"name": "x1", "kind": "foo"}], "effects": []},
+     "feature 0: unknown bins kind 'foo'"),
+    ({"features": [FEATURE, {**FEATURE, "edges": [0.9]}],
+      "effects": [{"vars": ["x1"], "values": [1.0, 2.0]}]},
+     "feature 1: feature 'x1' repeats"),
 ])
 def test_malformed_model_json_exits_2(doc, message):
     res = run_cli("purify", stdin=json.dumps(doc))
@@ -354,6 +360,30 @@ def test_feature_name_that_is_not_a_string_exits_2(tmp_path, flag, doc, message)
     assert res.returncode == 2, res.stderr
     assert res.stderr.count("\n") == 1
     assert json.loads(res.stderr) == {"error": "DomainError", "message": message}
+
+
+@pytest.mark.parametrize("flag, doc, message", [
+    ("--model", {"features": [FEATURE],
+                 "effects": [{"vars": "x1", "values": [1.0, 2.0]}]},
+     "effect 0: vars must be a list"),
+    ("--model", {"features": [{"name": "c", "kind": "categorical",
+                               "labels": "ab"}], "effects": []},
+     "feature 0: labels must be a list"),
+    ("--model", {"features": [{**FEATURE, "edges": "5"}], "effects": []},
+     "feature 0: edges must be a list"),
+    ("--ensemble", {"trees": [{**SPLIT, "split": "c",
+                               "threshold": {"labels": "ab"}}]},
+     "tree 0: labels must be a list"),
+])
+def test_string_where_a_list_belongs_exits_2(tmp_path, capsys, flag, doc,
+                                             message):
+    # A string is iterable: read as a list, it would split into characters.
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc))
+    assert cli.main(["purify", flag, str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "DomainError", "message": message}
 
 
 @pytest.mark.parametrize("bad", ["null", "5", "-1", "0.5", "true", "NaN",
@@ -407,7 +437,7 @@ def test_intercept_only_ensemble_takes_empirical_weights(tmp_path):
     res = run_cli("purify", "--ensemble", str(ens), "--weights", "empirical",
                   "--data", str(data))
     assert res.returncode == 0, res.stderr
-    assert model_from_json(res.stdout).intercept == 1.5
+    assert float(model_from_json(res.stdout).effects[()].values) == 1.5
 
 
 @pytest.mark.parametrize("command", ["purify", "check", "density", "predict"])

@@ -41,8 +41,8 @@ def test_purify_fig1a_interaction_moves_expected_mass():
     # the cascade ends at row d: zero mains and intercept
     assert np.allclose(out.effects[("x1",)].values, [0.0, 0.0], atol=1e-15)
     assert np.allclose(out.effects[("x2",)].values, [0.0, 0.0], atol=1e-15)
-    assert abs(out.intercept) <= 1e-15
-    assert reports[("x1", "x2")].final_mass <= 1e-15
+    assert abs(float(out.effects[()].values)) <= 1e-15
+    assert reports[("x1", "x2")].trace[-1][1] <= 1e-15
 
 
 def test_purify_already_pure_tensor_is_fixed_point():
@@ -378,7 +378,7 @@ def test_mixing_cuts_the_passes_on_sparse_cubes():
         # A mixed pass's last trace row is the mass after the mixing, so the
         # final mass is the returned tensor's, up to the running sums' drift.
         mass = unpurified_mass(out.effects[u], w)
-        assert abs(reports[u].final_mass - mass) <= 0.05 * mass
+        assert abs(reports[u].trace[-1][1] - mass) <= 0.05 * mass
 
 
 def test_mixing_on_rounding_noise_runs_out_the_budget_cleanly():
@@ -389,7 +389,7 @@ def test_mixing_on_rounding_noise_runs_out_the_budget_cleanly():
     with pytest.raises(NonConvergenceError) as exc:
         purify_model(m, w, tol=0.0, max_passes=300)
     assert exc.value.report.passes == 300
-    assert np.isfinite(exc.value.report.final_mass)
+    assert np.isfinite(exc.value.report.trace[-1][1])
 
 
 def test_mixing_a_repeated_step_changes_nothing():
@@ -449,7 +449,7 @@ def test_trace_starts_at_the_unpurified_mass():
         top = max(map(len, m.effects))
         for u, e in m.effects.items():
             if u and len(u) == top:
-                assert reports[u].initial_mass == unpurified_mass(e, w), u
+                assert reports[u].trace[0][1] == unpurified_mass(e, w), u
                 checked += 1
     assert checked >= 10
 
@@ -502,7 +502,7 @@ def test_check_purity_intercept_only_is_vacuous_pass():
 def test_purify_model_intercept_only_unchanged():
     m = AdditiveModel({}, {(): EffectTensor((), np.asarray(2.0))})
     out, reports = purify_model(m, {(): np.asarray(1.0)})
-    assert out.intercept == 2.0
+    assert float(out.effects[()].values) == 2.0
     assert reports == {}
 
 
@@ -620,7 +620,7 @@ def test_uniform_weights_converge_in_one_pass_any_shape():
         }
         _, reports = purify_model(m, w, max_passes=1)
         report = reports[("a", "b")]
-        assert report.final_mass <= 1e-10 * report.initial_mass
+        assert report.trace[-1][1] <= 1e-10 * report.trace[0][1]
 
 
 def test_two_step_halving_bound_random_weights():

@@ -227,7 +227,7 @@ def test_bench_uniform_mode_converges_in_one_pass():
             model = bench_model(tensor)
             _, reports = purify_model(model, w, max_passes=1)
             report = reports[("x1", "x2")]
-            assert report.final_mass <= 1e-10 * m0
+            assert report.trace[-1][1] <= 1e-10 * m0
             assert report.passes == 1
 
 

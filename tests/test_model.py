@@ -210,6 +210,13 @@ def test_effect_shape_must_match_bins():
         AdditiveModel(bins, {("x",): EffectTensor(("x",), np.zeros(3))})
 
 
+def test_bins_key_must_be_the_feature_name():
+    bins = {"x1": FeatureBins("x2", "continuous", edges=(0.5,))}
+    with pytest.raises(DomainError,
+                       match=r"^bins keyed 'x1' are for feature 'x2'$"):
+        AdditiveModel(bins, {})
+
+
 def test_intercept_defaults_to_zero():
     m = AdditiveModel({}, {})
-    assert m.intercept == 0.0
+    assert float(m.effects[()].values) == 0.0

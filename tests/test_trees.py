@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from purefx import (DomainError, FeatureBins, TreeEnsemble, TreeNode,
-                    UnsupportedTreeError, check_purity, collect_bins,
-                    ensemble_from_json, ensemble_to_json, gen_boolean_fig1,
-                    ingest_ensemble, predict, purify_model, tree_to_tensor)
+                    UnsupportedTreeError, check_purity, ensemble_from_json,
+                    gen_boolean_fig1, ingest_ensemble, predict, purify_model)
+from purefx.trees import collect_bins, tree_to_tensor
 
-from helpers import (FEATURES, columns, ensemble_eval, grid_points,
-                     oracle_tree_tensor, random_ensemble, random_points,
-                     random_tree, uniform_density)
+from helpers import (FEATURES, columns, ensemble_eval, ensemble_to_json,
+                     grid_points, oracle_tree_tensor, random_ensemble,
+                     random_points, random_tree, uniform_density)
 
 
 def leaf(v):
@@ -250,7 +250,7 @@ def test_split_kind_must_match_the_feature_bins():
 
 def test_empty_ensemble_ingests_to_bare_intercept():
     m = ingest_ensemble(TreeEnsemble((), base_score=2.0))
-    assert m.intercept == 2.0
+    assert float(m.effects[()].values) == 2.0
     assert set(m.effects) == {()}
 
 
