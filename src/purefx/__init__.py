@@ -1,9 +1,10 @@
 """Canonicalization of additive models with interactions via mass-moving.
 
 Converts piecewise-constant additive models (tree-based GAMs with pairwise
-interactions included) into the unique representation in which every effect
-tensor has zero-mean slices under a chosen cell-weight density, without
-changing any prediction.
+interactions included) into the representation in which every effect tensor
+has zero-mean slices under a chosen cell-weight density, without changing any
+prediction.  Where the weights determine it, it is unique on their support;
+on sparse weights it is the sweep's documented fixed point.
 
 Public names load their submodule, and numpy with it, on first use, so that
 ``purefx.cli`` can configure numpy before anything imports it.

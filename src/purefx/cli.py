@@ -124,10 +124,9 @@ def _cmd_gen(args):
 
 
 def _cmd_bench(args):
-    from .generators import bench_model, gen_random_bench
-    tensor, w = gen_random_bench(args.sigma, args.dims, args.weights, args.seed)
-    _, reports = purify_model(bench_model(tensor), w,
-                              tol=args.tol, max_passes=args.max_passes)
+    from .generators import gen_random_bench
+    model, w = gen_random_bench(args.sigma, args.dims, args.weights, args.seed)
+    _, reports = purify_model(model, w, tol=args.tol, max_passes=args.max_passes)
     _write(_trace_csv({("x1", "x2"): reports[("x1", "x2")]}), args.out)
     return EXIT_OK
 

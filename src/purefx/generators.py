@@ -18,7 +18,7 @@ WRIGHT_COEFFS = {
     "Synergistic": (1.0, 1.0, 1.0),
 }
 
-# Boolean two-feature variants: intercept, f1, f2, f3 (indexed [x1][x2]).
+# Boolean two-feature variants: intercept, x1 main, x2 main, pair [x1][x2].
 # All four compute the same function; row "d" is the canonical form.
 FIG1_ROWS = {
     "a": (0.25, (-0.25, 0.25), (-0.25, 0.25), ((0.0, 0.0), (0.0, -1.0))),
@@ -28,24 +28,31 @@ FIG1_ROWS = {
 }
 
 
-def _boolean_bins(names):
-    return {n: FeatureBins(n, "continuous", edges=(0.5,)) for n in names}
+def _boolean_bins(x1: str, x2: str):
+    return tuple(FeatureBins(n, "continuous", edges=(0.5,)) for n in (x1, x2))
+
+
+def _unit_grid(n: int):
+    return unit_grid_bins("x1", n), unit_grid_bins("x2", n)
+
+
+def _pair_model(bins, f0, f1, f2, f12) -> AdditiveModel:
+    """The model over two features' ``bins``: intercept ``f0``, mains ``f1``
+    and ``f2``, and pair ``f12`` indexed [x1][x2]."""
+    x1, x2 = (b.feature_name for b in bins)
+    return AdditiveModel(dict(zip((x1, x2), bins)), {
+        (): EffectTensor((), f0),
+        (x1,): EffectTensor((x1,), f1),
+        (x2,): EffectTensor((x2,), f2),
+        (x1, x2): EffectTensor((x1, x2), f12),
+    })
 
 
 def gen_boolean_fig1(row: str) -> AdditiveModel:
     """One of the four equivalent Boolean additive-with-interaction variants."""
     if row not in FIG1_ROWS:
         raise DomainError(f"unknown row {row!r}; expected one of a, b, c, d")
-    f0, f1, f2, f3 = FIG1_ROWS[row]
-    return AdditiveModel(
-        _boolean_bins(["x1", "x2"]),
-        {
-            (): EffectTensor((), np.asarray(f0)),
-            ("x1",): EffectTensor(("x1",), np.array(f1)),
-            ("x2",): EffectTensor(("x2",), np.array(f2)),
-            ("x1", "x2"): EffectTensor(("x1", "x2"), np.array(f3)),
-        },
-    )
+    return _pair_model(_boolean_bins("x1", "x2"), *FIG1_ROWS[row])
 
 
 def gen_wright(name: str) -> AdditiveModel:
@@ -55,16 +62,8 @@ def gen_wright(name: str) -> AdditiveModel:
             f"unknown generator {name!r}; expected one of {sorted(WRIGHT_COEFFS)}"
         )
     a1, a2, a12 = WRIGHT_COEFFS[name]
-    inter = np.zeros((2, 2))
-    inter[1, 1] = a12
-    return AdditiveModel(
-        _boolean_bins(["snp1", "snp2"]),
-        {
-            ("snp1",): EffectTensor(("snp1",), np.array([0.0, a1])),
-            ("snp2",): EffectTensor(("snp2",), np.array([0.0, a2])),
-            ("snp1", "snp2"): EffectTensor(("snp1", "snp2"), inter),
-        },
-    )
+    return _pair_model(_boolean_bins("snp1", "snp2"), 0.0, (0.0, a1), (0.0, a2),
+                       ((0.0, 0.0), (0.0, a12)))
 
 
 def unit_grid_bins(name: str, n: int) -> FeatureBins:
@@ -88,15 +87,8 @@ def gen_multiplicative(a: float, b: float, c: float, d: float,
     at the cell midpoints.
     """
     m = unit_grid_midpoints(n)
-    bins = {"x1": unit_grid_bins("x1", n), "x2": unit_grid_bins("x2", n)}
-    return AdditiveModel(bins, {
-        (): EffectTensor((), np.asarray(a - d * alpha * beta)),
-        ("x1",): EffectTensor(("x1",), (b + d * beta) * m),
-        ("x2",): EffectTensor(("x2",), (c + d * alpha) * m),
-        ("x1", "x2"): EffectTensor(
-            ("x1", "x2"), d * np.outer(m - alpha, m - beta)
-        ),
-    })
+    return _pair_model(_unit_grid(n), a - d * alpha * beta, (b + d * beta) * m,
+                       (c + d * alpha) * m, d * np.outer(m - alpha, m - beta))
 
 
 def gen_log_lambda(lam: float, n: int) -> AdditiveModel:
@@ -109,17 +101,12 @@ def gen_log_lambda(lam: float, n: int) -> AdditiveModel:
     m = unit_grid_midpoints(n)
     prod = np.outer(m, m)
     y = (1.0 - lam) * np.log(prod) + lam * prod
-    bins = {"x1": unit_grid_bins("x1", n), "x2": unit_grid_bins("x2", n)}
-    return AdditiveModel(bins, {
-        (): EffectTensor((), np.asarray(0.0)),
-        ("x1",): EffectTensor(("x1",), np.zeros(n)),
-        ("x2",): EffectTensor(("x2",), np.zeros(n)),
-        ("x1", "x2"): EffectTensor(("x1", "x2"), y),
-    })
+    return _pair_model(_unit_grid(n), 0.0, np.zeros(n), np.zeros(n), y)
 
 
 def gen_random_bench(sigma: float, p: int, weight_mode: str, seed: int):
-    """Seeded normal P-by-P tensor plus a matching weight density.
+    """Seeded normal P-by-P pair over zero mains, plus a matching weight
+    density; returns ``(model, w)``.
 
     Weight mode "uniform" gives constant weights; "random" takes the absolute
     value of normal draws (densities must be nonnegative) and normalizes.
@@ -138,22 +125,11 @@ def gen_random_bench(sigma: float, p: int, weight_mode: str, seed: int):
     else:
         joint = np.abs(rng.normal(0.0, sigma, size=(p, p)))
         joint /= joint.sum()
-    tensor = EffectTensor(("x1", "x2"), values)
+    model = _pair_model(_unit_grid(p), 0.0, np.zeros(p), np.zeros(p), values)
     w = {
         ("x1", "x2"): joint,
         ("x1",): joint.sum(axis=1),
         ("x2",): joint.sum(axis=0),
         (): np.asarray(1.0),
     }
-    return tensor, w
-
-
-def bench_model(tensor: EffectTensor) -> AdditiveModel:
-    """Wrap a benchmark matrix in a model with zero mains for purification."""
-    p = tensor.values.shape[0]
-    bins = {"x1": unit_grid_bins("x1", p), "x2": unit_grid_bins("x2", p)}
-    return AdditiveModel(bins, {
-        ("x1",): EffectTensor(("x1",), np.zeros(p)),
-        ("x2",): EffectTensor(("x2",), np.zeros(p)),
-        ("x1", "x2"): tensor,
-    })
+    return model, w

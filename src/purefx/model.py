@@ -182,7 +182,8 @@ def model_from_dict(doc: dict) -> AdditiveModel:
     for i, f in enumerate(doc["features"]):
         with _entry("feature", i, f):
             if f["kind"] == "continuous":
-                b = FeatureBins(f["name"], "continuous", edges=_list(f, "edges"))
+                b = FeatureBins(f["name"], "continuous", edges=[
+                    _number(x, "an edge") for x in _list(f, "edges")])
             elif f["kind"] == "categorical":
                 b = FeatureBins(f["name"], "categorical", labels=_list(f, "labels"))
             else:
@@ -196,7 +197,10 @@ def model_from_dict(doc: dict) -> AdditiveModel:
             key = tuple(_list(e, "vars"))
             if key in effects:
                 raise DomainError(f"duplicate effect subset {key}")
-            effects[key] = EffectTensor(key, np.array(e["values"], dtype=float))
+            values = np.array(e["values"])
+            if values.dtype.kind not in "iuf":  # strings, nulls, an all-bool tensor
+                raise DomainError("values must be numbers")
+            effects[key] = EffectTensor(key, values)
     return AdditiveModel(bins, effects)
 
 
@@ -206,6 +210,16 @@ def _list(entry: dict, key: str) -> list:
     if not isinstance(value, list):
         raise DomainError(f"{key} must be a list")
     return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float; it must be a JSON number: ``true`` and ``"1"`` are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{what} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond a float's range
+        raise DomainError(f"{what} is too large for a float") from None
 
 
 @contextmanager

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bins import FeatureBins
 from .errors import DomainError, UnsupportedTreeError
-from .model import AdditiveModel, EffectTensor, _entry, _list
+from .model import AdditiveModel, EffectTensor, _entry, _list, _number
 
 # Each tree becomes one dense tensor over its split features, whose size is
 # the product of their cell counts; purefx models hold effects of order <= 3.
@@ -177,12 +177,14 @@ def _node_from_dict(doc) -> TreeNode:
     if not isinstance(doc, dict):
         raise DomainError(f"a node is not a JSON object: {doc!r}")
     if "leaf" in doc:
-        return TreeNode(value=float(doc["leaf"]))
+        if doc.keys() & {"split", "threshold", "left", "right"}:
+            raise DomainError("a node is a leaf or a split, not both")
+        return TreeNode(value=_number(doc["leaf"], "a leaf"))
     thr = doc["threshold"]
     labels = isinstance(thr, dict)
     return TreeNode(
         feature=doc["split"],
-        threshold=None if labels else float(thr),
+        threshold=None if labels else _number(thr, "a threshold"),
         label_set=frozenset(_list(thr, "labels")) if labels else None,
         left=_node_from_dict(doc["left"]),
         right=_node_from_dict(doc["right"]),
@@ -199,10 +201,5 @@ def ensemble_from_json(text: str) -> TreeEnsemble:
     for i, tree in enumerate(trees):
         with _entry("tree", i, tree):
             nodes.append(_node_from_dict(tree))
-    base_score = doc.get("base_score", 0.0)
-    try:
-        base_score = float(base_score)
-    except (TypeError, ValueError):
-        raise DomainError(
-            f"base_score must be a number, not {base_score!r}") from None
-    return TreeEnsemble(trees=tuple(nodes), base_score=base_score)
+    return TreeEnsemble(trees=tuple(nodes), base_score=_number(
+        doc.get("base_score", 0.0), "base_score"))

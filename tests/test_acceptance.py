@@ -15,7 +15,7 @@ from purefx import (AdditiveModel, EffectTensor, FeatureBins, check_purity,
                     gen_multiplicative, gen_random_bench, gen_wright,
                     effect_variance, ingest_ensemble, model_from_json,
                     model_to_json, predict, purify_model, unpurified_mass)
-from purefx.generators import bench_model, unit_grid_midpoints
+from purefx.generators import unit_grid_midpoints
 
 from conftest import SCORECARD
 from helpers import (columns, ensemble_eval, grid_predictions,
@@ -80,9 +80,9 @@ def test_acceptance_03_uniform_one_pass_convergence():
     worst = 0.0
     for sigma, p in itertools.product(SIGMAS, DIMS):
         for seed in range(SEEDS):
-            tensor, w = gen_random_bench(sigma, p, "uniform", seed)
-            m0 = unpurified_mass(tensor, w)
-            _, reps = purify_model(bench_model(tensor), w, max_passes=1)
+            model, w = gen_random_bench(sigma, p, "uniform", seed)
+            m0 = unpurified_mass(model.effects[("x1", "x2")], w)
+            _, reps = purify_model(model, w, max_passes=1)
             rep = reps[("x1", "x2")]
             worst = max(worst, rep.trace[-1][1] / m0)
     report(3, worst <= 1e-10,
@@ -97,9 +97,9 @@ def test_acceptance_04_two_step_halving_and_pass_cap():
     checked = 0
     for sigma, p in itertools.product(SIGMAS, DIMS):
         for seed in range(SEEDS):
-            tensor, w = gen_random_bench(sigma, p, "random", seed)
+            model, w = gen_random_bench(sigma, p, "random", seed)
             try:
-                _, reps = purify_model(bench_model(tensor), w)
+                _, reps = purify_model(model, w)
                 rep = reps[("x1", "x2")]
             except Exception:
                 capped = False

@@ -13,7 +13,6 @@ from purefx import (AdditiveModel, EffectTensor, FeatureBins, TreeEnsemble,
                     gen_boolean_fig1, gen_log_lambda, gen_random_bench,
                     model_from_json, model_to_json, purify_model)
 from purefx import cli
-from purefx.generators import bench_model
 
 from helpers import ensemble_to_json
 
@@ -130,8 +129,8 @@ def test_cascade_reports_and_traces_follow_one_order(tmp_path):
 
     res = run_cli("bench", "--dims", "25", "--weights", "random", "--seed", "5")
     assert res.returncode == 0, res.stderr
-    tensor, w = gen_random_bench(1.0, 25, "random", 5)
-    _, reports = purify_model(bench_model(tensor), w)
+    model, w = gen_random_bench(1.0, 25, "random", 5)
+    _, reports = purify_model(model, w)
     assert read_trace(res.stdout) == [
         ("x1;x2", it, mass) for it, mass in reports[("x1", "x2")].trace]
 
@@ -305,12 +304,24 @@ SPLIT = {"split": "x1", "threshold": 0.5,
      "tree 0: a node is not a JSON object: 5"),
     ({"trees": [{**SPLIT, "left": {"leaf": 0}, "right": [1]}]},
      "tree 0: a node is not a JSON object: [1]"),
+    ({"trees": [SPLIT], "base_score": "0.25"},
+     "base_score must be a number, not '0.25'"),
+    ({"trees": [{**SPLIT, "threshold": "0.5"}]},
+     "tree 0: a threshold must be a number, not '0.5'"),
+    ({"trees": [{**SPLIT, "threshold": True}]},
+     "tree 0: a threshold must be a number, not True"),
+    ({"trees": [{**SPLIT, "right": {"leaf": True}}]},
+     "tree 0: a leaf must be a number, not True"),
+    ({"trees": [SPLIT, {**SPLIT, "leaf": 7.0}]},
+     "tree 1: a node is a leaf or a split, not both"),
+    ({"trees": [{"leaf": 10 ** 400}]}, "tree 0: a leaf is too large for a float"),
 ])
 def test_malformed_ensemble_json_exits_2(tmp_path, doc, message):
     ens = tmp_path / "ens.json"
     ens.write_text(json.dumps(doc))
     res = run_cli("purify", "--ensemble", str(ens))
     assert res.returncode == 2, res.stderr
+    assert res.stderr.count("\n") == 1
     err = json.loads(res.stderr)
     assert err["error"] == "DomainError"
     assert err["message"].startswith(message)
@@ -336,10 +347,24 @@ FEATURE = {"name": "x1", "kind": "continuous", "edges": [0.5]}
     ({"features": [FEATURE, {**FEATURE, "edges": [0.9]}],
       "effects": [{"vars": ["x1"], "values": [1.0, 2.0]}]},
      "feature 1: feature 'x1' repeats"),
+    ({"features": [{**FEATURE, "edges": ["5"]}], "effects": []},
+     "feature 0: an edge must be a number, not '5'"),
+    ({"features": [{**FEATURE, "edges": [True]}], "effects": []},
+     "feature 0: an edge must be a number, not True"),
+    ({"features": [{**FEATURE, "edges": [10 ** 400]}], "effects": []},
+     "feature 0: an edge is too large for a float"),
+    ({"features": [FEATURE], "effects": [{"vars": ["x1"], "values": ["1", "2"]}]},
+     "effect 0: values must be numbers"),
+    ({"features": [], "effects": [{"vars": [], "values": "1.5"}]},
+     "effect 0: values must be numbers"),
+    ({"features": [FEATURE], "effects": [{"vars": ["x1"],
+                                          "values": [True, False]}]},
+     "effect 0: values must be numbers"),
 ])
 def test_malformed_model_json_exits_2(doc, message):
     res = run_cli("purify", stdin=json.dumps(doc))
     assert res.returncode == 2, res.stderr
+    assert res.stderr.count("\n") == 1
     err = json.loads(res.stderr)
     assert err["error"] == "DomainError"
     assert err["message"].startswith(message)

@@ -11,7 +11,6 @@ from purefx import (AdditiveModel, DegenerateSliceError, DomainError,
                     gen_boolean_fig1, gen_random_bench, model_to_json,
                     purify_model, unpurified_mass)
 from purefx.engine import _Anderson, _purify_subset
-from purefx.generators import bench_model
 
 from helpers import (add_deposits, grid_predictions, oracle_fixed_point,
                      oracle_matrix_mass, oracle_purify_model,
@@ -107,8 +106,7 @@ def test_bad_tol_or_pass_budget_raises_and_zero_tol_is_legal():
 
 
 def test_nonconvergence_carries_report():
-    tensor, w = gen_random_bench(1.0, 25, "random", seed=3)
-    m = bench_model(tensor)
+    m, w = gen_random_bench(1.0, 25, "random", seed=3)
     with pytest.raises(NonConvergenceError) as exc:
         purify_model(m, w, tol=1e-15, max_passes=1)
     assert exc.value.report is not None
@@ -627,8 +625,7 @@ def test_two_step_halving_bound_random_weights():
     # M^{t+1} <= 0.5 M^{t-1} + slack once the tensor is overall-centered
     # (true from t >= 1, so the comparison starts at t = 2).
     for seed in range(30):
-        tensor, w = gen_random_bench(10.0, 25, "random", seed)
-        m = bench_model(tensor)
+        m, w = gen_random_bench(10.0, 25, "random", seed)
         _, reports = purify_model(m, w)
         masses = [mass for _, mass in reports[("x1", "x2")].trace]
         m0 = masses[0]

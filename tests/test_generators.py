@@ -7,8 +7,7 @@ from purefx import (AdditiveModel, DomainError, check_purity,
                     effect_variance, gen_boolean_fig1, gen_log_lambda,
                     gen_multiplicative, gen_random_bench, gen_wright, predict,
                     purify_model, unpurified_mass)
-from purefx.generators import (bench_model, unit_grid_bins,
-                               unit_grid_midpoints)
+from purefx.generators import unit_grid_bins, unit_grid_midpoints
 
 from helpers import uniform_density
 
@@ -213,18 +212,18 @@ def test_log_lambda_domain_checked():
 def test_bench_is_deterministic_per_seed():
     a, wa = gen_random_bench(10.0, 25, "random", seed=7)
     b, wb = gen_random_bench(10.0, 25, "random", seed=7)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(wa[("x1", "x2")], wb[("x1", "x2")])
+    pair = ("x1", "x2")
+    assert np.array_equal(a.effects[pair].values, b.effects[pair].values)
+    assert np.array_equal(wa[pair], wb[pair])
     c, _ = gen_random_bench(10.0, 25, "random", seed=8)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a.effects[pair].values, c.effects[pair].values)
 
 
 def test_bench_uniform_mode_converges_in_one_pass():
     for sigma in (1.0, 100.0):
         for p in (2, 100):
-            tensor, w = gen_random_bench(sigma, p, "uniform", seed=0)
-            m0 = unpurified_mass(tensor, w)
-            model = bench_model(tensor)
+            model, w = gen_random_bench(sigma, p, "uniform", seed=0)
+            m0 = unpurified_mass(model.effects[("x1", "x2")], w)
             _, reports = purify_model(model, w, max_passes=1)
             report = reports[("x1", "x2")]
             assert report.trace[-1][1] <= 1e-10 * m0
@@ -232,8 +231,7 @@ def test_bench_uniform_mode_converges_in_one_pass():
 
 
 def test_bench_random_mode_trace_decreases():
-    tensor, w = gen_random_bench(10.0, 25, "random", seed=3)
-    model = bench_model(tensor)
+    model, w = gen_random_bench(10.0, 25, "random", seed=3)
     _, reports = purify_model(model, w)
     masses = [m for _, m in reports[("x1", "x2")].trace]
     assert masses[0] > 0
