@@ -178,13 +178,16 @@ def model_from_dict(doc: dict) -> AdditiveModel:
             and isinstance(doc.get("effects"), list)):
         raise DomainError(
             "a model is a JSON object with lists of 'features' and 'effects'")
+    _keys(doc, {"features", "effects"}, "a model")
     bins = {}
     for i, f in enumerate(doc["features"]):
         with _entry("feature", i, f):
             if f["kind"] == "continuous":
+                _keys(f, {"name", "kind", "edges"}, "a continuous feature")
                 b = FeatureBins(f["name"], "continuous", edges=[
                     _number(x, "an edge") for x in _list(f, "edges")])
             elif f["kind"] == "categorical":
+                _keys(f, {"name", "kind", "labels"}, "a categorical feature")
                 b = FeatureBins(f["name"], "categorical", labels=_list(f, "labels"))
             else:
                 b = FeatureBins(f["name"], f["kind"])  # names the unknown kind
@@ -194,14 +197,23 @@ def model_from_dict(doc: dict) -> AdditiveModel:
     effects = {}
     for i, e in enumerate(doc["effects"]):
         with _entry("effect", i, e):
+            _keys(e, {"vars", "values"}, "an effect")
             key = tuple(_list(e, "vars"))
             if key in effects:
                 raise DomainError(f"duplicate effect subset {key}")
-            values = np.array(e["values"])
-            if values.dtype.kind not in "iuf":  # strings, nulls, an all-bool tensor
+            values = np.array(e["values"])  # numpy reads a true among numbers as 1
+            if values.dtype.kind not in "iuf" or bool in map(
+                    type, np.array(e["values"], dtype=object).flat):
                 raise DomainError("values must be numbers")
             effects[key] = EffectTensor(key, values)
     return AdditiveModel(bins, effects)
+
+
+def _keys(entry: dict, allowed: set, what: str):
+    """Reject a key of ``entry`` that is not in ``allowed``."""
+    unknown = sorted(entry.keys() - allowed)
+    if unknown:
+        raise DomainError(f"unknown key {unknown[0]!r} in {what}")
 
 
 def _list(entry: dict, key: str) -> list:

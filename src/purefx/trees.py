@@ -1,7 +1,8 @@
 """Ingestion of dumped tree ensembles into effect tensors.
 
 Trees may have any depth, as long as each splits on at most three distinct
-features; a tree over k features becomes one k-dimensional tensor.
+features; the trees over one set of k features add into one k-dimensional
+tensor.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import numpy as np
 
 from .bins import FeatureBins
 from .errors import DomainError, UnsupportedTreeError
-from .model import AdditiveModel, EffectTensor, _entry, _list, _number
+from .model import AdditiveModel, EffectTensor, _entry, _keys, _list, _number
 
-# Each tree becomes one dense tensor over its split features, whose size is
+# A tree adds into one dense tensor over its split features, whose size is
 # the product of their cell counts; purefx models hold effects of order <= 3.
 MAX_TREE_FEATURES = 3
 
@@ -39,6 +40,8 @@ class TreeNode:
 
     def __post_init__(self):
         if self.is_leaf:
+            if not math.isfinite(self.value):
+                raise DomainError(f"a leaf must be finite, not {self.value!r}")
             return
         if self.feature is None or self.left is None or self.right is None:
             raise DomainError("split node needs feature, left, and right")
@@ -90,83 +93,57 @@ def collect_bins(ensemble: TreeEnsemble) -> dict[str, FeatureBins]:
     return out
 
 
-def tree_to_tensor(tree: TreeNode, bins: dict[str, FeatureBins],
-                   index: int = 0) -> EffectTensor:
-    """Tabulate the tree's leaf values on the global grid of its split features.
-
-    Each leaf covers an axis-aligned box of grid cells: the descent keeps one
-    index per feature, and every split narrows its feature's index.  A
-    threshold split keeps a contiguous range of cells (``< cut`` goes left),
-    so a box of threshold splits is a tuple of slices that fills by basic
-    slicing; a label-set split keeps a boolean cell mask.  A tree splitting
-    one feature twice yields a 1-D tensor.  Every threshold must be an edge
-    of its feature's bins (as ``collect_bins`` makes them), so each cell lies
-    wholly on one side of every split, and a label set must split a
-    categorical feature.  A tree over more than ``MAX_TREE_FEATURES``
-    features raises ``UnsupportedTreeError``.
-    """
-    feats = tuple(sorted({n.feature for n in _splits(tree)}))
-    if len(feats) > MAX_TREE_FEATURES:
-        raise UnsupportedTreeError(
-            f"tree {index} splits on {len(feats)} distinct features "
-            f"{list(feats)}; at most {MAX_TREE_FEATURES} are supported")
-    if not feats:
-        return EffectTensor((), np.asarray(float(tree.value)))
-    for f in feats:
-        if f not in bins:
-            raise DomainError(f"tree {index}: no bins for feature {f!r}")
-    axis = {f: k for k, f in enumerate(feats)}
-    shape = tuple(bins[f].n_cells for f in feats)
-    values = np.zeros(shape)
-    # Boolean masks on two axes would index together, not as a product.
-    masked = any(bins[f].kind == "categorical" for f in feats)
-
-    def fill(node: TreeNode, box: tuple):
-        if node.is_leaf:
-            if masked:
-                box = np.ix_(*(np.arange(n)[s] for n, s in zip(shape, box)))
-            values[box] = node.value
-            return
-        k = axis[node.feature]
-        if node.threshold is None:
-            if bins[node.feature].kind != "categorical":
-                raise DomainError(
-                    f"tree {index}: label set splits continuous feature "
-                    f"{node.feature!r}")
-            left = np.array([label in node.label_set
-                             for label in bins[node.feature].labels])
-            sides = box[k] & left, box[k] & ~left
-        else:
-            cut = _cut(node, bins[node.feature], index)
-            lo, hi = box[k].start, box[k].stop
-            sides = slice(lo, min(hi, cut)), slice(max(lo, cut), hi)
-        for child, side in zip((node.left, node.right), sides):
-            fill(child, box[:k] + (side,) + box[k + 1:])
-
-    fill(tree, tuple(slice(0, n) if bins[f].kind == "continuous"
-                     else np.ones(n, dtype=bool) for f, n in zip(feats, shape)))
-    return EffectTensor(feats, values)
-
-
-def _cut(node: TreeNode, bins: FeatureBins, index: int) -> int:
-    """The number of cells of ``bins`` that ``node``'s threshold sends left."""
-    cut = bisect.bisect_right(bins.edges, node.threshold)
-    if cut == 0 or bins.edges[cut - 1] != node.threshold:
-        raise DomainError(
-            f"tree {index}: threshold {node.threshold!r} is not a bin edge "
-            f"of feature {node.feature!r}")
-    return cut
-
-
 def ingest_ensemble(ensemble: TreeEnsemble) -> AdditiveModel:
-    """Sum per-tree tensors by variable set; base score becomes the intercept."""
+    """Add every tree into one running tensor per feature set.
+
+    A tree adds to the tensor over its sorted split features, on the global
+    grid of ``collect_bins``; a leaf-only tree adds to the intercept, which
+    starts at the base score.  Each leaf adds its value to an axis-aligned
+    box of grid cells: the descent keeps one index per feature, and every
+    split narrows its feature's index.  Every threshold is an edge of the
+    grid, so a threshold split keeps a contiguous range of cells (``< cut``
+    goes left) and a box of threshold splits is a tuple of slices; a
+    label-set split keeps a boolean cell mask.  The other tensors start at
+    -0.0, so each cell sums ``-0.0 + v1 + v2 + ...`` in tree order and a
+    lone -0.0 leaf keeps its sign.  A tree over more than
+    ``MAX_TREE_FEATURES`` features raises ``UnsupportedTreeError``.
+    """
     bins = collect_bins(ensemble)
-    acc: dict[tuple[str, ...], np.ndarray] = {(): np.asarray(float(ensemble.base_score))}
+    acc = {(): np.array(float(ensemble.base_score))}
     for i, tree in enumerate(ensemble.trees):
-        t = tree_to_tensor(tree, bins, i)
-        acc[t.vars] = acc.get(t.vars, -0.0) + t.values  # -0.0 + x is x, -0.0 too
-    effects = {u: EffectTensor(u, v) for u, v in acc.items()}
-    return AdditiveModel(bins, effects)
+        feats = tuple(sorted({n.feature for n in _splits(tree)}))
+        if len(feats) > MAX_TREE_FEATURES:
+            raise UnsupportedTreeError(
+                f"tree {i} splits on {len(feats)} distinct features "
+                f"{list(feats)}; at most {MAX_TREE_FEATURES} are supported")
+        axis = {f: k for k, f in enumerate(feats)}
+        shape = tuple(bins[f].n_cells for f in feats)
+        if feats not in acc:
+            acc[feats] = np.full(shape, -0.0)
+        total = acc[feats]
+        # Boolean masks on two axes would index together, not as a product.
+        masked = any(bins[f].kind == "categorical" for f in feats)
+
+        def add(node: TreeNode, box: tuple):
+            if node.is_leaf:
+                if masked:
+                    box = np.ix_(*(np.arange(n)[s] for n, s in zip(shape, box)))
+                total[box] += node.value
+                return
+            k, b = axis[node.feature], bins[node.feature]
+            if node.threshold is None:
+                left = np.array([label in node.label_set for label in b.labels])
+                sides = box[k] & left, box[k] & ~left
+            else:
+                cut = bisect.bisect_right(b.edges, node.threshold)
+                lo, hi = box[k].start, box[k].stop
+                sides = slice(lo, min(hi, cut)), slice(max(lo, cut), hi)
+            for child, side in zip((node.left, node.right), sides):
+                add(child, box[:k] + (side,) + box[k + 1:])
+
+        add(tree, tuple(slice(0, n) if bins[f].kind == "continuous"
+                        else np.ones(n, dtype=bool) for f, n in zip(feats, shape)))
+    return AdditiveModel(bins, {u: EffectTensor(u, v) for u, v in acc.items()})
 
 
 # --------------------------------------------------------------------------
@@ -176,12 +153,17 @@ def ingest_ensemble(ensemble: TreeEnsemble) -> AdditiveModel:
 def _node_from_dict(doc) -> TreeNode:
     if not isinstance(doc, dict):
         raise DomainError(f"a node is not a JSON object: {doc!r}")
+    split_keys = {"split", "threshold", "left", "right"}
     if "leaf" in doc:
-        if doc.keys() & {"split", "threshold", "left", "right"}:
+        if doc.keys() & split_keys:
             raise DomainError("a node is a leaf or a split, not both")
+        _keys(doc, {"leaf"}, "a leaf")
         return TreeNode(value=_number(doc["leaf"], "a leaf"))
+    _keys(doc, split_keys, "a split")
     thr = doc["threshold"]
     labels = isinstance(thr, dict)
+    if labels:
+        _keys(thr, {"labels"}, "a label threshold")
     return TreeNode(
         feature=doc["split"],
         threshold=None if labels else _number(thr, "a threshold"),
@@ -197,9 +179,12 @@ def ensemble_from_json(text: str) -> TreeEnsemble:
     trees = doc.get("trees") if isinstance(doc, dict) else None
     if not isinstance(trees, list):
         raise DomainError("an ensemble is a JSON object with a list of 'trees'")
+    _keys(doc, {"trees", "base_score"}, "an ensemble")
     nodes = []
     for i, tree in enumerate(trees):
         with _entry("tree", i, tree):
             nodes.append(_node_from_dict(tree))
-    return TreeEnsemble(trees=tuple(nodes), base_score=_number(
-        doc.get("base_score", 0.0), "base_score"))
+    base_score = _number(doc.get("base_score", 0.0), "base_score")
+    if not math.isfinite(base_score):
+        raise DomainError(f"base_score must be finite, not {base_score!r}")
+    return TreeEnsemble(trees=tuple(nodes), base_score=base_score)

@@ -134,6 +134,16 @@ def oracle_tree_tensor(tree, bins):
     return feats, values
 
 
+def oracle_ingest(ensemble, bins):
+    """``oracle_tree_tensor`` of every tree, summed per feature set in tree
+    order: the intercept from the base score, every other set from -0.0."""
+    acc = {(): np.asarray(float(ensemble.base_score))}
+    for tree in ensemble.trees:
+        feats, values = oracle_tree_tensor(tree, bins)
+        acc[feats] = acc.get(feats, -0.0) + values
+    return acc
+
+
 def oracle_slice_stats(T, W, wsums):
     """Trace mass, per-axis slice means and worst |slice mean| of ``T``.
 

@@ -315,6 +315,25 @@ SPLIT = {"split": "x1", "threshold": 0.5,
     ({"trees": [SPLIT, {**SPLIT, "leaf": 7.0}]},
      "tree 1: a node is a leaf or a split, not both"),
     ({"trees": [{"leaf": 10 ** 400}]}, "tree 0: a leaf is too large for a float"),
+    # A NaN leaf in an empty box (x < 0.25 below x >= 0.5) reaches no cell.
+    ({"trees": [{**SPLIT, "split": "x", "right": {
+        "split": "x", "threshold": 0.25, "left": {"leaf": float("nan")},
+        "right": {"leaf": 2.0}}}]}, "tree 0: a leaf must be finite, not nan"),
+    ({"trees": [SPLIT, {"leaf": float("-inf")}]},
+     "tree 1: a leaf must be finite, not -inf"),
+    ({"trees": [SPLIT], "base_score": float("inf")},
+     "base_score must be finite, not inf"),
+    ({"trees": [SPLIT], "base_score": float("nan")},
+     "base_score must be finite, not nan"),
+    ({"trees": [{**SPLIT, "right": {"leaf": 2.0, "weight": 1.0}}]},
+     "tree 0: unknown key 'weight' in a leaf"),
+    ({"trees": [SPLIT], "bias": 7}, "unknown key 'bias' in an ensemble"),
+    ({"trees": [SPLIT, {**SPLIT, "gain": 0.5}]},
+     "tree 1: unknown key 'gain' in a split"),
+    ({"trees": [{**SPLIT, "threshold": {"labels": ["a"], "missing": "left"}}]},
+     "tree 0: unknown key 'missing' in a label threshold"),
+    ({"trees": [{**SPLIT, "leaf": 7.0, "weight": 1.0}]},
+     "tree 0: a node is a leaf or a split, not both"),
 ])
 def test_malformed_ensemble_json_exits_2(tmp_path, doc, message):
     ens = tmp_path / "ens.json"
@@ -360,6 +379,22 @@ FEATURE = {"name": "x1", "kind": "continuous", "edges": [0.5]}
     ({"features": [FEATURE], "effects": [{"vars": ["x1"],
                                           "values": [True, False]}]},
      "effect 0: values must be numbers"),
+    ({"features": [FEATURE], "effects": [{"vars": ["x1"], "values": [1.5, True]}]},
+     "effect 0: values must be numbers"),
+    ({"features": [FEATURE, {**FEATURE, "name": "x2"}], "effects": [
+        {"vars": ["x1"], "values": [1.0, 2.0]},
+        {"vars": ["x1", "x2"], "values": [[1.5, 2.5], [False, 0.5]]}]},
+     "effect 1: values must be numbers"),
+    ({"features": [FEATURE], "effects": [
+        {"vars": ["x1"], "values": [1.0, 2.0], "valeus": [1.0, 2.0]}]},
+     "effect 0: unknown key 'valeus' in an effect"),
+    ({"features": [{**FEATURE, "edge": [0.5]}], "effects": []},
+     "feature 0: unknown key 'edge' in a continuous feature"),
+    ({"features": [FEATURE, {"name": "c", "kind": "categorical",
+                             "labels": ["a"], "edges": [0.5]}], "effects": []},
+     "feature 1: unknown key 'edges' in a categorical feature"),
+    ({"features": [], "effects": [], "extra": 1},
+     "unknown key 'extra' in a model"),
 ])
 def test_malformed_model_json_exits_2(doc, message):
     res = run_cli("purify", stdin=json.dumps(doc))

@@ -1,10 +1,13 @@
-"""Every malformed input exits 0, 2, 3 or 4, never with a traceback.
+"""Every malformed input exits 0, 2, 3 or 4, never with a traceback, and
+every document that parses means what it says.
 
 One sweep of mutations over each input format: a model document, an
 ensemble document (a threshold split and a label-set split) and a data CSV.
-Each mutated input goes through ``cli.main`` for ``purify`` under uniform
-and empirical weights and for ``predict``.  A nonzero return must write
-exactly one JSON line to stderr.  The sweep is deterministic.
+A document mutates by replacing one value or by adding an unknown key to
+one object.  Each mutated input goes through ``cli.main`` for ``purify``
+under uniform and empirical weights and for ``predict``.  A nonzero return
+must write exactly one JSON line to stderr.  Each mutated document that
+parses must write back to itself.  The sweep is deterministic.
 """
 
 import contextlib
@@ -14,7 +17,10 @@ import json
 import math
 import sys
 
-from purefx import cli
+from purefx import (DomainError, cli, ensemble_from_json, model_from_json,
+                    model_to_json)
+
+from helpers import ensemble_to_json
 
 MODEL = {
     "features": [
@@ -69,6 +75,24 @@ def _replaced(doc, path, value):
         node = node[key]
     node[path[-1]] = value
     return out
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _doc_mutations(doc):
+    """(path, change, mutated doc): each value replaced by each of
+    ``BAD_VALUES``, then each object given one unknown key."""
+    for path in _paths(doc):
+        for bad in BAD_VALUES:
+            yield path, bad, _replaced(doc, path, bad)
+    for path in _paths(doc):
+        node = _at(doc, path)
+        if isinstance(node, dict):
+            yield path, "extra key", _replaced(doc, path, {**node, "extra": 1})
 
 
 def _csv_mutations():
@@ -127,15 +151,14 @@ def test_every_malformed_input_exits_with_one_json_error_line(tmp_path):
     failures, runs = [], 0
 
     for flag, doc in (("--model", MODEL), ("--ensemble", ENSEMBLE)):
-        for path in _paths(doc):
-            for bad in BAD_VALUES:
-                text = json.dumps(_replaced(doc, path, bad))
-                for command in commands:
-                    code, stderr = _run([*command, flag, "-"], text)
-                    runs += 1
-                    why = _violation(code, stderr)
-                    if why:
-                        failures.append((flag, path, bad, command[0], why))
+        for path, bad, mutated in _doc_mutations(doc):
+            text = json.dumps(mutated)
+            for command in commands:
+                code, stderr = _run([*command, flag, "-"], text)
+                runs += 1
+                why = _violation(code, stderr)
+                if why:
+                    failures.append((flag, path, bad, command[0], why))
 
     for i, (name, rows) in enumerate(_csv_mutations()):
         mutated = tmp_path / f"mutated{i}.csv"
@@ -151,3 +174,68 @@ def test_every_malformed_input_exits_with_one_json_error_line(tmp_path):
 
     assert runs > 3000
     assert not failures, f"{len(failures)} of {runs} runs: {failures[:20]}"
+
+
+def _floats(doc):
+    """``doc`` with every int read as a float; a bool stays a bool."""
+    if isinstance(doc, dict):
+        return {k: _floats(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_floats(v) for v in doc]
+    return float(doc) if type(doc) is int else doc
+
+
+def _model_written(doc):
+    """What ``model_to_json`` writes for a model document that parses:
+    features by name, effects by (order, vars), a zero intercept added."""
+    doc = _floats(doc)
+    effects = doc["effects"]
+    if [] not in (e["vars"] for e in effects):
+        effects = effects + [{"vars": [], "values": 0.0}]
+    return {**doc, "features": sorted(doc["features"], key=lambda f: f["name"]),
+            "effects": sorted(effects, key=lambda e: (len(e["vars"]), e["vars"]))}
+
+
+def _ensemble_written(doc):
+    """What ``ensemble_to_json`` writes for an ensemble document that parses:
+    an absent ``base_score`` as 0.0, each label set sorted."""
+
+    def node(n):
+        if "leaf" in n:
+            return n
+        thr = n["threshold"]
+        if isinstance(thr, dict):
+            thr = {**thr, "labels": sorted(set(thr["labels"]))}
+        return {**n, "threshold": thr, "left": node(n["left"]),
+                "right": node(n["right"])}
+
+    doc = _floats(doc)
+    return {"base_score": 0.0, **doc, "trees": [node(t) for t in doc["trees"]]}
+
+
+def _same(a, b):
+    """Equality that tells ``true`` from 1.0, and a NaN from everything."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_every_document_that_parses_writes_back_to_itself():
+    formats = ((MODEL, model_from_json, model_to_json, _model_written),
+               (ENSEMBLE, ensemble_from_json, ensemble_to_json, _ensemble_written))
+    parsed, failures = 0, []
+    for doc, read, write, written in formats:
+        for path, bad, mutated in _doc_mutations(doc):
+            try:
+                back = read(json.dumps(mutated))
+            except DomainError:
+                continue
+            parsed += 1
+            if not _same(json.loads(write(back)), written(mutated)):
+                failures.append((read.__name__, path, bad))
+    assert parsed >= 80
+    assert not failures, f"{len(failures)} of {parsed} documents: {failures[:20]}"

@@ -217,6 +217,13 @@ def test_bins_key_must_be_the_feature_name():
         AdditiveModel(bins, {})
 
 
+def test_effect_key_must_be_its_vars():
+    bins = {n: FeatureBins(n, "continuous", edges=(0.5,)) for n in ("x", "y")}
+    with pytest.raises(DomainError) as exc:
+        AdditiveModel(bins, {("y",): EffectTensor(("x",), np.zeros(2))})
+    assert str(exc.value) == "effect keyed ('y',) has vars ('x',)"
+
+
 def test_intercept_defaults_to_zero():
     m = AdditiveModel({}, {})
     assert float(m.effects[()].values) == 0.0

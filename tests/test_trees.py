@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from purefx import (DomainError, FeatureBins, TreeEnsemble, TreeNode,
-                    UnsupportedTreeError, check_purity, ensemble_from_json,
-                    gen_boolean_fig1, ingest_ensemble, predict, purify_model)
-from purefx.trees import collect_bins, tree_to_tensor
+from purefx import (DomainError, TreeEnsemble, TreeNode, UnsupportedTreeError,
+                    check_purity, ensemble_from_json, gen_boolean_fig1,
+                    ingest_ensemble, predict, purify_model)
+from purefx.trees import collect_bins
 
 from helpers import (FEATURES, columns, ensemble_eval, ensemble_to_json,
-                     grid_points, oracle_tree_tensor, random_ensemble,
+                     grid_points, oracle_ingest, random_ensemble,
                      random_points, random_tree, uniform_density)
 
 
@@ -62,23 +62,33 @@ def test_mixed_split_kinds_on_one_feature_rejected():
 
 
 # --------------------------------------------------------------------------
-# tree_to_tensor
+# Tabulation: each tree adds into one tensor per feature set
 # --------------------------------------------------------------------------
 
+def ingest_exactly(*trees, base_score=0.0):
+    """``ingest_ensemble`` of ``trees``, checked bit for bit, effect order
+    included, against the per-tree oracle summed per feature set."""
+    ens = TreeEnsemble(trees, base_score)
+    m = ingest_ensemble(ens)
+    expected = oracle_ingest(ens, m.bins)
+    assert list(m.effects) == list(expected)
+    for u, values in expected.items():
+        assert m.effects[u].values.shape == values.shape
+        assert m.effects[u].values.tobytes() == values.tobytes()
+    return m
+
+
 def test_stump_tabulates_to_two_cells():
-    ens = TreeEnsemble((stump("x", 0.5, -1.0, 1.0),))
-    bins = collect_bins(ens)
-    t = tree_to_tensor(ens.trees[0], bins)
-    assert t.vars == ("x",)
-    assert np.array_equal(t.values, np.array([-1.0, 1.0]))
+    m = ingest_exactly(stump("x", 0.5, -1.0, 1.0))
+    assert list(m.effects) == [(), ("x",)]
+    assert m.effects[("x",)].values.tolist() == [-1.0, 1.0]
 
 
 def test_and_tree_tabulates_to_boolean_interaction():
-    ens = TreeEnsemble((and_tree(),))
-    bins = collect_bins(ens)
-    t = tree_to_tensor(ens.trees[0], bins)
-    assert t.vars == ("x1", "x2")
-    assert np.array_equal(t.values, np.array([[0.0, 0.0], [0.0, 1.0]]))
+    m = ingest_exactly(and_tree())
+    assert list(m.effects) == [(), ("x1", "x2")]
+    assert np.array_equal(m.effects[("x1", "x2")].values,
+                          np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
 def test_same_feature_twice_gives_one_dimensional_tensor():
@@ -87,24 +97,22 @@ def test_same_feature_twice_gives_one_dimensional_tensor():
         left=stump("x", 0.2, 1.0, 2.0),
         right=leaf(5.0),
     )
-    bins = collect_bins(TreeEnsemble((tree,)))
-    t = tree_to_tensor(tree, bins)
-    assert t.vars == ("x",)
-    assert np.array_equal(t.values, np.array([1.0, 2.0, 5.0]))
+    m = ingest_exactly(tree)
+    assert list(m.effects) == [(), ("x",)]
+    assert m.effects[("x",)].values.tolist() == [1.0, 2.0, 5.0]
 
 
 def test_local_split_broadcasts_onto_finer_global_bins():
     coarse = stump("x", 0.5, -1.0, 1.0)
     other = stump("x", 0.1, 0.0, 0.0)  # only refines the grid
-    bins = collect_bins(TreeEnsemble((coarse, other)))
-    t = tree_to_tensor(coarse, bins)
-    assert np.array_equal(t.values, np.array([-1.0, -1.0, 1.0]))
+    m = ingest_exactly(coarse, other)
+    assert m.effects[("x",)].values.tolist() == [-1.0, -1.0, 1.0]
 
 
 def test_leaf_only_tree_is_an_intercept():
-    t = tree_to_tensor(leaf(3.5), {})
-    assert t.vars == ()
-    assert float(t.values) == 3.5
+    m = ingest_exactly(leaf(3.5), base_score=0.25)
+    assert list(m.effects) == [()]
+    assert float(m.effects[()].values) == 3.75
 
 
 def chain(features, values):
@@ -118,10 +126,9 @@ def chain(features, values):
 
 def test_four_distinct_features_rejected():
     deep = chain("abcd", [1.0, 2.0, 3.0, 4.0, 5.0])
-    bins = collect_bins(TreeEnsemble((deep,)))
     with pytest.raises(UnsupportedTreeError,
-                       match=r"tree 7 .*\['a', 'b', 'c', 'd'\]"):
-        tree_to_tensor(deep, bins, 7)
+                       match=r"tree 0 .*\['a', 'b', 'c', 'd'\]"):
+        ingest_ensemble(TreeEnsemble((deep,)))
     with pytest.raises(UnsupportedTreeError, match="tree 1 "):
         ingest_ensemble(TreeEnsemble((stump("a", 0.5, 0.0, 1.0), deep)))
 
@@ -134,28 +141,20 @@ def test_deep_tree_over_two_features_gives_a_matrix():
                       left=stump("a", 0.25, 1.0, 2.0), right=leaf(3.0)),
         right=leaf(4.0),
     )
-    t = tree_to_tensor(tree, collect_bins(TreeEnsemble((tree,))))
-    assert t.vars == ("a", "b")
-    assert np.array_equal(t.values, np.array([[1.0, 3.0], [2.0, 3.0],
-                                              [4.0, 4.0]]))
+    m = ingest_exactly(tree)
+    assert list(m.effects) == [(), ("a", "b")]
+    assert np.array_equal(m.effects[("a", "b")].values,
+                          np.array([[1.0, 3.0], [2.0, 3.0], [4.0, 4.0]]))
 
 
 def test_depth_three_tree_over_three_features_gives_a_cube():
-    tree = chain("abc", [1.0, 2.0, 3.0, 4.0])
-    t = tree_to_tensor(tree, collect_bins(TreeEnsemble((tree,))))
-    assert t.vars == ("a", "b", "c")
+    m = ingest_exactly(chain("abc", [1.0, 2.0, 3.0, 4.0]))
+    assert list(m.effects) == [(), ("a", "b", "c")]
     expected = np.full((2, 2, 2), 1.0)
     expected[0] = 2.0
     expected[0, 0] = 3.0
     expected[0, 0, 0] = 4.0
-    assert np.array_equal(t.values, expected)
-
-
-def test_threshold_off_the_bin_edges_rejected():
-    bins = collect_bins(TreeEnsemble((stump("x", 0.5, 0.0, 1.0),)))
-    for thr in (0.3, 0.7):
-        with pytest.raises(DomainError, match="not a bin edge"):
-            tree_to_tensor(stump("x", thr, 0.0, 1.0), bins)
+    assert np.array_equal(m.effects[("a", "b", "c")].values, expected)
 
 
 def test_box_fill_matches_the_loop_oracle():
@@ -169,24 +168,19 @@ def test_box_fill_matches_the_loop_oracle():
     rng = np.random.default_rng(5)
     features = ("f1", "f2", "c")
     for _ in range(20):
-        trees = (unreachable,) + tuple(
+        ingest_exactly(unreachable, *(
             random_tree(rng, features, max_depth=4, categorical=("c",))
-            for _ in range(int(rng.integers(1, 20))))
-        bins = collect_bins(TreeEnsemble(trees))
-        for i, tree in enumerate(trees):
-            t = tree_to_tensor(tree, bins, i)
-            feats, values = oracle_tree_tensor(tree, bins)
-            assert t.vars == feats
-            assert np.array_equal(t.values, values)
-    assert 99.0 not in tree_to_tensor(unreachable, bins).values
+            for _ in range(int(rng.integers(1, 20)))),
+            base_score=float(rng.normal()))
+    m = ingest_exactly(unreachable)
+    assert 99.0 not in m.effects[("c", "f1", "f2")].values
 
 
 def test_negative_zero_leaf_keeps_its_sign():
     tree = stump("x", 0.5, -0.0, 1.0)
-    bins = collect_bins(TreeEnsemble((tree,)))
-    assert np.signbit(tree_to_tensor(leaf(-0.0), bins).values)
-    assert np.signbit(tree_to_tensor(tree, bins).values).tolist() == [True, False]
-    m = ingest_ensemble(TreeEnsemble((tree, leaf(-0.0)), base_score=-0.0))
+    m = ingest_exactly(tree)
+    assert np.signbit(m.effects[("x",)].values).tolist() == [True, False]
+    m = ingest_exactly(tree, leaf(-0.0), base_score=-0.0)
     assert np.signbit(m.effects[()].values)
     assert np.signbit(m.effects[("x",)].values).tolist() == [True, False]
 
@@ -201,12 +195,10 @@ def test_label_set_splits_mix_with_threshold_splits():
         right=TreeNode(feature="x", threshold=0.25, left=leaf(4.0),
                        right=TreeNode(feature="d", label_set=frozenset({"L2"}),
                                       left=leaf(5.0), right=leaf(6.0))))
-    bins = collect_bins(TreeEnsemble((tree,)))
-    t = tree_to_tensor(tree, bins)
-    feats, values = oracle_tree_tensor(tree, bins)
-    assert t.vars == feats == ("c", "d", "x")
-    assert np.array_equal(t.values, values)
-    assert np.count_nonzero(t.values == 1.0) == 2 * 2 * 2  # c, d, x < 0.5
+    m = ingest_exactly(tree)
+    assert list(m.effects) == [(), ("c", "d", "x")]
+    values = m.effects[("c", "d", "x")].values
+    assert np.count_nonzero(values == 1.0) == 2 * 2 * 2  # c, d, x < 0.5
 
 
 def test_feature_split_twice_on_a_path_narrows_one_range():
@@ -215,33 +207,8 @@ def test_feature_split_twice_on_a_path_narrows_one_range():
                     right=TreeNode(feature="x", threshold=0.75,
                                    left=stump("x", 0.25, 9.0, 3.0),
                                    right=leaf(4.0)))
-    t = tree_to_tensor(tree, collect_bins(TreeEnsemble((tree,))))
-    assert t.vars == ("x",)
-    assert t.values.tolist() == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_off_edge_threshold_message():
-    bins = collect_bins(TreeEnsemble((stump("x", 0.5, 0.0, 1.0),)))
-    with pytest.raises(DomainError) as exc:
-        tree_to_tensor(stump("x", 0.3, 0.0, 1.0), bins, 3)
-    assert str(exc.value) == "tree 3: threshold 0.3 is not a bin edge of feature 'x'"
-
-
-def test_split_kind_must_match_the_feature_bins():
-    labels = {"x": FeatureBins("x", "categorical", labels=("a", "b"))}
-    with pytest.raises(DomainError) as exc:
-        tree_to_tensor(stump("x", 0.5, 0.0, 1.0), labels, 2)
-    assert str(exc.value) == "tree 2: threshold 0.5 is not a bin edge of feature 'x'"
-    bins = {"x": FeatureBins("x", "continuous", edges=(0.5,)),
-            "y": FeatureBins("y", "categorical", labels=("a", "b"))}
-    on_x = TreeNode(feature="x", label_set=frozenset({"a"}),
-                    left=leaf(0.0), right=leaf(1.0))
-    under_y = TreeNode(feature="y", label_set=frozenset({"a"}),
-                       left=on_x, right=leaf(2.0))
-    for tree in (on_x, under_y):
-        with pytest.raises(DomainError) as exc:
-            tree_to_tensor(tree, bins, 4)
-        assert str(exc.value) == "tree 4: label set splits continuous feature 'x'"
+    m = ingest_exactly(tree)
+    assert m.effects[("x",)].values.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 # --------------------------------------------------------------------------
@@ -260,7 +227,7 @@ def test_stumps_on_one_feature_sum_into_one_tensor():
         stump("x", float(k) / 51.0, float(rng.normal()), float(rng.normal()))
         for k in range(1, 51)
     )
-    m = ingest_ensemble(TreeEnsemble(trees))
+    m = ingest_exactly(*trees)
     assert set(m.effects) == {(), ("x",)}
     assert m.bins["x"].n_cells == 51
 
