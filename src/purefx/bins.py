@@ -18,7 +18,7 @@ class FeatureBins:
     ``(-inf, e_1), [e_1, e_2), ..., [e_k, +inf)`` by strictly increasing
     edges; a value equal to an edge falls in the upper cell (tree-split
     semantics: ``x < t`` goes left).  Categorical features enumerate their
-    labels directly.
+    labels directly, in strictly increasing order.
     """
 
     feature_name: str
@@ -53,8 +53,10 @@ class FeatureBins:
                 if not isinstance(label, str):
                     raise DomainError(f"feature {self.feature_name!r}: "
                                       f"a label is a string, not {label!r}")
-            if len(set(self.labels)) != len(self.labels):
-                raise DomainError(f"feature {self.feature_name!r}: duplicate labels")
+            if any(a >= b for a, b in zip(self.labels, self.labels[1:])):
+                raise DomainError(
+                    f"feature {self.feature_name!r}: labels must be strictly increasing"
+                )
             object.__setattr__(self, "labels", tuple(self.labels))
 
     @property

@@ -17,7 +17,7 @@ import sys
 # Before numpy loads: no BLAS call here gains from OpenBLAS's spinning pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .density import dataset_from_csv, density_to_json, estimate_density
+from .density import MODES, dataset_from_csv, density_to_json, estimate_density
 from .engine import MAX_PASSES, check_purity, purify_model
 from .errors import DegenerateSliceError, DomainError, NonConvergenceError
 from .model import dumps_canonical, model_from_json, model_to_json, predict
@@ -152,8 +152,7 @@ def _model_flags(p):
 
 
 def _weight_flags(p):
-    p.add_argument("--weights", default="uniform",
-                   choices=["uniform", "empirical", "laplace"])
+    p.add_argument("--weights", default="uniform", choices=MODES)
     p.add_argument("--data", help="training CSV for empirical/laplace weights")
 
 

@@ -361,8 +361,8 @@ def purify_model(model: AdditiveModel, w: dict, tol: float = 1e-12,
         for axis in reversed(range(len(u))):
             sub = u[:axis] + u[axis + 1:]
             tensors[sub] = tensors.get(sub, 0.0) + deposits[axis]
-    effects = {u: EffectTensor(u, v) for u, v in tensors.items()}
-    return AdditiveModel(model.bins, effects), reports
+    return AdditiveModel(model.bins.values(),
+                         map(EffectTensor, tensors, tensors.values())), reports
 
 
 def check_purity(model: AdditiveModel, w: dict, tol: float = 1e-10) -> dict:

@@ -40,12 +40,9 @@ def _pair_model(bins, f0, f1, f2, f12) -> AdditiveModel:
     """The model over two features' ``bins``: intercept ``f0``, mains ``f1``
     and ``f2``, and pair ``f12`` indexed [x1][x2]."""
     x1, x2 = (b.feature_name for b in bins)
-    return AdditiveModel(dict(zip((x1, x2), bins)), {
-        (): EffectTensor((), f0),
-        (x1,): EffectTensor((x1,), f1),
-        (x2,): EffectTensor((x2,), f2),
-        (x1, x2): EffectTensor((x1, x2), f12),
-    })
+    return AdditiveModel(bins, [
+        EffectTensor((), f0), EffectTensor((x1,), f1),
+        EffectTensor((x2,), f2), EffectTensor((x1, x2), f12)])
 
 
 def gen_boolean_fig1(row: str) -> AdditiveModel:

@@ -49,34 +49,40 @@ class EffectTensor:
 class AdditiveModel:
     """A set of effect tensors over a shared bins registry; predicts by summation.
 
-    The intercept (empty subset) is always present, defaulting to 0.  A subset
-    with no stored tensor contributes nothing.
+    Built from ``FeatureBins`` and ``EffectTensor`` objects (any iterables),
+    which it keys itself in canonical order: ``bins`` by sorted feature name,
+    ``effects`` by (order, vars).  A repeated feature or subset raises a
+    ``DomainError`` naming its position.  The intercept (empty subset) is
+    always present, defaulting to 0.  A subset with no stored tensor
+    contributes nothing.
     """
 
     bins: dict[str, FeatureBins]
     effects: dict[Subset, EffectTensor]
 
     def __post_init__(self):
-        for name, b in self.bins.items():
-            if b.feature_name != name:
-                raise DomainError(
-                    f"bins keyed {name!r} are for feature {b.feature_name!r}")
+        bins = {}
+        for i, b in enumerate(self.bins):
+            if b.feature_name in bins:
+                raise DomainError(f"feature {i}: feature {b.feature_name!r} repeats")
+            bins[b.feature_name] = b
         effects = {}
-        for key, eff in self.effects.items():
-            if tuple(key) != eff.vars:
-                raise DomainError(f"effect keyed {key} has vars {eff.vars}")
+        for i, eff in enumerate(self.effects):
+            if eff.vars in effects:
+                raise DomainError(f"effect {i}: duplicate effect subset {eff.vars}")
             for k, name in enumerate(eff.vars):
-                if name not in self.bins:
+                if name not in bins:
                     raise DomainError(f"effect {eff.vars}: no bins for feature {name!r}")
-                if eff.values.shape[k] != self.bins[name].n_cells:
+                if eff.values.shape[k] != bins[name].n_cells:
                     raise DomainError(
                         f"effect {eff.vars}: axis {k} has length "
-                        f"{eff.values.shape[k]}, bins give {self.bins[name].n_cells}"
+                        f"{eff.values.shape[k]}, bins give {bins[name].n_cells}"
                     )
             effects[eff.vars] = eff
-        if () not in effects:
-            effects[()] = EffectTensor((), np.zeros(()))
-        object.__setattr__(self, "effects", effects)
+        effects.setdefault((), EffectTensor((), np.zeros(())))
+        object.__setattr__(self, "bins", dict(sorted(bins.items())))
+        object.__setattr__(self, "effects", {
+            u: effects[u] for u in sorted(effects, key=lambda u: (len(u), u))})
 
 
 def bin_dataset(model: AdditiveModel, data: dict) -> dict[str, np.ndarray]:
@@ -150,11 +156,10 @@ def dumps_canonical(doc: dict) -> str:
 
 
 def model_to_json(model: AdditiveModel) -> str:
-    """The canonical JSON of ``model``: features by name, effects by
-    (order, vars), keys sorted."""
+    """The canonical JSON of ``model``: features and effects in the model's
+    own order, keys sorted."""
     features = []
-    for name in sorted(model.bins):
-        b = model.bins[name]
+    for name, b in model.bins.items():
         entry = {"name": name, "kind": b.kind}
         if b.kind == "continuous":
             entry["edges"] = list(b.edges)
@@ -162,51 +167,58 @@ def model_to_json(model: AdditiveModel) -> str:
             entry["labels"] = list(b.labels)
         features.append(entry)
     effects = ",".join(
-        '{"values":%s,"vars":%s}' % (_json_array(model.effects[u].values),
-                                     _dumps(list(u)))
-        for u in sorted(model.effects, key=lambda u: (len(u), u)))
+        '{"values":%s,"vars":%s}' % (_json_array(e.values), _dumps(list(u)))
+        for u, e in model.effects.items())
     return '{"effects":[%s],"features":%s}\n' % (effects, _dumps(features))
 
 
-def model_from_dict(doc: dict) -> AdditiveModel:
-    """Build a model from its JSON document.
+def model_from_json(text: str) -> AdditiveModel:
+    """Build a model from its JSON.
 
     A malformed document raises a ``DomainError``; one raised for a feature
     or effect entry names the entry's index.
     """
-    if not (isinstance(doc, dict) and isinstance(doc.get("features"), list)
-            and isinstance(doc.get("effects"), list)):
-        raise DomainError(
-            "a model is a JSON object with lists of 'features' and 'effects'")
-    _keys(doc, {"features", "effects"}, "a model")
-    bins = {}
-    for i, f in enumerate(doc["features"]):
-        with _entry("feature", i, f):
-            if f["kind"] == "continuous":
-                _keys(f, {"name", "kind", "edges"}, "a continuous feature")
-                b = FeatureBins(f["name"], "continuous", edges=[
-                    _number(x, "an edge") for x in _list(f, "edges")])
-            elif f["kind"] == "categorical":
-                _keys(f, {"name", "kind", "labels"}, "a categorical feature")
-                b = FeatureBins(f["name"], "categorical", labels=_list(f, "labels"))
-            else:
-                b = FeatureBins(f["name"], f["kind"])  # names the unknown kind
-            if b.feature_name in bins:
-                raise DomainError(f"feature {b.feature_name!r} repeats")
-        bins[b.feature_name] = b
-    effects = {}
-    for i, e in enumerate(doc["effects"]):
-        with _entry("effect", i, e):
-            _keys(e, {"vars", "values"}, "an effect")
-            key = tuple(_list(e, "vars"))
-            if key in effects:
-                raise DomainError(f"duplicate effect subset {key}")
-            values = np.array(e["values"])  # numpy reads a true among numbers as 1
-            if values.dtype.kind not in "iuf" or bool in map(
-                    type, np.array(e["values"], dtype=object).flat):
-                raise DomainError("values must be numbers")
-            effects[key] = EffectTensor(key, values)
-    return AdditiveModel(bins, effects)
+    with _json_document(text) as doc:
+        if not (isinstance(doc, dict) and isinstance(doc.get("features"), list)
+                and isinstance(doc.get("effects"), list)):
+            raise DomainError(
+                "a model is a JSON object with lists of 'features' and 'effects'")
+        _keys(doc, {"features", "effects"}, "a model")
+        bins = []
+        for i, f in enumerate(doc["features"]):
+            with _entry("feature", i, f):
+                if f["kind"] == "continuous":
+                    _keys(f, {"name", "kind", "edges"}, "a continuous feature")
+                    b = FeatureBins(f["name"], "continuous", edges=[
+                        _number(x, "an edge") for x in _list(f, "edges")])
+                elif f["kind"] == "categorical":
+                    _keys(f, {"name", "kind", "labels"}, "a categorical feature")
+                    b = FeatureBins(f["name"], "categorical",
+                                    labels=_list(f, "labels"))
+                else:
+                    b = FeatureBins(f["name"], f["kind"])  # names the unknown kind
+            bins.append(b)
+        effects = []
+        for i, e in enumerate(doc["effects"]):
+            with _entry("effect", i, e):
+                _keys(e, {"vars", "values"}, "an effect")
+                key = tuple(_list(e, "vars"))
+                values = np.array(e["values"])  # numpy reads a true among numbers as 1
+                if values.dtype.kind not in "iuf" or bool in map(
+                        type, np.array(e["values"], dtype=object).flat):
+                    raise DomainError("values must be numbers")
+                effects.append(EffectTensor(key, values))
+        return AdditiveModel(bins, effects)
+
+
+@contextmanager
+def _json_document(text: str):
+    """The JSON document of ``text``, for a block that builds from it; nesting
+    too deep for Python's recursion limit, in either, raises a DomainError."""
+    try:
+        yield json.loads(text)
+    except RecursionError:
+        raise DomainError("the JSON is nested too deeply to read") from None
 
 
 def _keys(entry: dict, allowed: set, what: str):
@@ -245,7 +257,3 @@ def _entry(what: str, index: int, entry):
         raise DomainError(f"{what} {index}: lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{what} {index}: {exc}") from None
-
-
-def model_from_json(text: str) -> AdditiveModel:
-    return model_from_dict(json.loads(text))

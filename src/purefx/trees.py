@@ -8,7 +8,6 @@ tensor.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,8 @@ import numpy as np
 
 from .bins import FeatureBins
 from .errors import DomainError, UnsupportedTreeError
-from .model import AdditiveModel, EffectTensor, _entry, _keys, _list, _number
+from .model import (AdditiveModel, EffectTensor, _entry, _json_document, _keys,
+                    _list, _number)
 
 # A tree adds into one dense tensor over its split features, whose size is
 # the product of their cell counts; purefx models hold effects of order <= 3.
@@ -143,7 +143,7 @@ def ingest_ensemble(ensemble: TreeEnsemble) -> AdditiveModel:
 
         add(tree, tuple(slice(0, n) if bins[f].kind == "continuous"
                         else np.ones(n, dtype=bool) for f, n in zip(feats, shape)))
-    return AdditiveModel(bins, {u: EffectTensor(u, v) for u, v in acc.items()})
+    return AdditiveModel(bins.values(), map(EffectTensor, acc, acc.values()))
 
 
 # --------------------------------------------------------------------------
@@ -175,15 +175,15 @@ def _node_from_dict(doc) -> TreeNode:
 
 def ensemble_from_json(text: str) -> TreeEnsemble:
     """Parse ensemble JSON; a malformed tree raises a ``DomainError`` naming it."""
-    doc = json.loads(text)
-    trees = doc.get("trees") if isinstance(doc, dict) else None
-    if not isinstance(trees, list):
-        raise DomainError("an ensemble is a JSON object with a list of 'trees'")
-    _keys(doc, {"trees", "base_score"}, "an ensemble")
-    nodes = []
-    for i, tree in enumerate(trees):
-        with _entry("tree", i, tree):
-            nodes.append(_node_from_dict(tree))
+    with _json_document(text) as doc:
+        trees = doc.get("trees") if isinstance(doc, dict) else None
+        if not isinstance(trees, list):
+            raise DomainError("an ensemble is a JSON object with a list of 'trees'")
+        _keys(doc, {"trees", "base_score"}, "an ensemble")
+        nodes = []
+        for i, tree in enumerate(trees):
+            with _entry("tree", i, tree):
+                nodes.append(_node_from_dict(tree))
     base_score = _number(doc.get("base_score", 0.0), "base_score")
     if not math.isfinite(base_score):
         raise DomainError(f"base_score must be finite, not {base_score!r}")

@@ -332,7 +332,7 @@ def random_model(rng, max_features=3, max_order=3, max_cells=8):
             if rng.random() < 0.8:
                 shape = tuple(bins[f].n_cells for f in u)
                 effects[u] = EffectTensor(u, rng.normal(size=shape))
-    return AdditiveModel(bins, effects)
+    return AdditiveModel(bins.values(), effects.values())
 
 
 def with_categorical(rng, model):
@@ -343,7 +343,7 @@ def with_categorical(rng, model):
     for u in (("c",), ("c", sorted(model.bins)[0])):
         shape = tuple(bins[f].n_cells for f in u)
         effects[u] = EffectTensor(u, rng.normal(size=shape))
-    return AdditiveModel(bins, effects)
+    return AdditiveModel(bins.values(), effects.values())
 
 
 def random_density(rng, model, positive=True):

@@ -142,8 +142,7 @@ def test_acceptance_05_permutation_and_linearity():
         }
 
         def build(vals, bn):
-            return AdditiveModel(bn, {
-                ("a", "b"): EffectTensor(("a", "b"), vals)})
+            return AdditiveModel(bn.values(), [EffectTensor(("a", "b"), vals)])
 
         A = rng.normal(size=shape)
         B = rng.normal(size=shape)

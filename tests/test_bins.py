@@ -29,7 +29,7 @@ def test_feature_name_must_be_a_string(name):
 
 
 def test_unknown_label_names_feature_and_label():
-    b = FeatureBins("color", "categorical", labels=("red", "blue"))
+    b = FeatureBins("color", "categorical", labels=("blue", "red"))
     with pytest.raises(DomainError, match="color.*green"):
         bin_index(b, "green")
 
@@ -63,6 +63,14 @@ def test_labels_must_be_strings(label):
 def test_labels_must_be_distinct():
     with pytest.raises(DomainError):
         FeatureBins("x", "categorical", labels=("a", "a"))
+
+
+@pytest.mark.parametrize("labels", [("b", "a"), ("a", "c", "b"), ("a", "b", "b")])
+def test_labels_must_increase(labels):
+    # Like edges, labels have one order: a permutation is another document.
+    with pytest.raises(DomainError) as exc:
+        FeatureBins("x", "categorical", labels=labels)
+    assert str(exc.value) == "feature 'x': labels must be strictly increasing"
 
 
 def test_representative_lands_in_its_cell():

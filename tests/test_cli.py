@@ -101,9 +101,9 @@ def test_cascade_reports_and_traces_follow_one_order(tmp_path):
     # subsets, highest order first and lexicographic within an order.
     rng = np.random.default_rng(61)
     names = ("a", "b", "c")
-    bins = {n: FeatureBins(n, "continuous", edges=(0.5,)) for n in names}
+    bins = [FeatureBins(n, "continuous", edges=(0.5,)) for n in names]
     model = AdditiveModel(
-        bins, {names: EffectTensor(names, rng.normal(size=(2, 2, 2)))})
+        bins, [EffectTensor(names, rng.normal(size=(2, 2, 2)))])
     src = tmp_path / "cube.json"
     src.write_text(model_to_json(model))
     data = tmp_path / "rows.csv"
@@ -395,6 +395,12 @@ FEATURE = {"name": "x1", "kind": "continuous", "edges": [0.5]}
      "feature 1: unknown key 'edges' in a categorical feature"),
     ({"features": [], "effects": [], "extra": 1},
      "unknown key 'extra' in a model"),
+    ({"features": [FEATURE], "effects": [{"vars": ["x1"], "values": [1.0, 2.0]},
+                                         {"vars": ["x1"], "values": [3.0, 4.0]}]},
+     "effect 1: duplicate effect subset ('x1',)"),
+    ({"features": [{"name": "c", "kind": "categorical", "labels": ["red", "blue"]}],
+      "effects": []},
+     "feature 0: feature 'c': labels must be strictly increasing"),
 ])
 def test_malformed_model_json_exits_2(doc, message):
     res = run_cli("purify", stdin=json.dumps(doc))
@@ -532,10 +538,10 @@ def test_nonconvergence_exits_3(tmp_path):
 def test_cube_nonconvergence_exits_3(tmp_path):
     rng = np.random.default_rng(47)
     names = ("x1", "x2", "x3")
-    bins = {n: FeatureBins(n, "continuous", edges=(0.5,)) for n in names}
+    bins = [FeatureBins(n, "continuous", edges=(0.5,)) for n in names]
     src = tmp_path / "cube.json"
     src.write_text(model_to_json(AdditiveModel(
-        bins, {names: EffectTensor(names, rng.normal(size=(2, 2, 2)))})))
+        bins, [EffectTensor(names, rng.normal(size=(2, 2, 2)))])))
     data = tmp_path / "skew.csv"
     rows = ["x1,x2,x3"] + ["0,0,0"] * 40 + ["1,1,0"] * 5 + ["0,1,1"] * 2
     data.write_text("\n".join(rows) + "\n")

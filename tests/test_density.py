@@ -11,9 +11,9 @@ import json
 
 
 def boolean_model():
-    bins = {n: FeatureBins(n, "continuous", edges=(0.5,)) for n in ("x1", "x2")}
+    bins = [FeatureBins(n, "continuous", edges=(0.5,)) for n in ("x1", "x2")]
     inter = EffectTensor(("x1", "x2"), np.array([[0.0, 0.0], [0.0, -1.0]]))
-    return AdditiveModel(bins, {("x1", "x2"): inter})
+    return AdditiveModel(bins, [inter])
 
 
 def boolean_rows(pairs):
@@ -103,7 +103,7 @@ def test_single_values_count_as_one_row(mode):
 
 @pytest.mark.parametrize("mode", ["uniform", "empirical", "laplace"])
 def test_intercept_only_table_is_exactly_one(mode):
-    w = estimate_density(AdditiveModel({}, {}), mode, {"x1": ["0.1", "0.9"]})
+    w = estimate_density(AdditiveModel([], []), mode, {"x1": ["0.1", "0.9"]})
     assert w[()] == 1.0
 
 
@@ -136,8 +136,8 @@ def test_unparseable_continuous_value_rejected():
 
 
 def test_unknown_categorical_label_rejected():
-    bins = {"c": FeatureBins("c", "categorical", labels=("a", "b"))}
-    m = AdditiveModel(bins, {("c",): EffectTensor(("c",), np.array([1.0, -1.0]))})
+    bins = [FeatureBins("c", "categorical", labels=("a", "b"))]
+    m = AdditiveModel(bins, [EffectTensor(("c",), np.array([1.0, -1.0]))])
     data = {"c": ["a", "b", "z"]}
     with pytest.raises(DomainError, match="'c', row 2: unknown label 'z'"):
         estimate_density(m, "empirical", data)

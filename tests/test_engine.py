@@ -47,9 +47,9 @@ def test_purify_fig1a_interaction_moves_expected_mass():
 def test_purify_already_pure_tensor_is_fixed_point():
     vals = np.array([[-0.25, 0.25], [0.25, -0.25]])
     m = AdditiveModel(
-        {"x1": FeatureBins("x1", "continuous", edges=(0.5,)),
-         "x2": FeatureBins("x2", "continuous", edges=(0.5,))},
-        {("x1", "x2"): EffectTensor(("x1", "x2"), vals)},
+        [FeatureBins("x1", "continuous", edges=(0.5,)),
+         FeatureBins("x2", "continuous", edges=(0.5,))],
+        [EffectTensor(("x1", "x2"), vals)],
     )
     w = boolean_uniform_density()
     out, reports = purify_model(m, w)
@@ -64,7 +64,7 @@ def test_purify_random_3x3_against_loop_oracle():
         joint = np.abs(rng.normal(size=(3, 3))) + 0.05
         joint /= joint.sum()
         bins = {n: FeatureBins(n, "continuous", edges=(0.0, 1.0)) for n in ("a", "b")}
-        m = AdditiveModel(bins, {("a", "b"): EffectTensor(("a", "b"), vals)})
+        m = AdditiveModel(bins.values(), [EffectTensor(("a", "b"), vals)])
         w = {
             ("a", "b"): joint,
             ("a",): joint.sum(axis=1),
@@ -119,10 +119,10 @@ def _cube_model(rng, cells=(4, 5, 3)):
     bins = {n: FeatureBins(n, "continuous",
                            edges=tuple(np.arange(1, k, dtype=float)))
             for n, k in zip(names, cells)}
-    return AdditiveModel(bins, {
-        (): EffectTensor((), np.asarray(float(rng.normal()))),
-        names: EffectTensor(names, rng.normal(size=cells)),
-    })
+    return AdditiveModel(bins.values(), [
+        EffectTensor((), np.asarray(float(rng.normal()))),
+        EffectTensor(names, rng.normal(size=cells)),
+    ])
 
 
 def test_returned_cube_is_pure_by_its_own_values():
@@ -187,7 +187,7 @@ def _four_way_hierarchy(rng):
         for u in itertools.combinations(names, order):
             shape = tuple(bins[f].n_cells for f in u)
             effects[u] = EffectTensor(u, rng.normal(size=shape))
-    return AdditiveModel(bins, effects)
+    return AdditiveModel(bins.values(), effects.values())
 
 
 def _mixing_starts(report):
@@ -296,12 +296,19 @@ def test_running_sums_match_the_full_tensor_oracle():
         seen["cube"] += any(len(u) == 3 for u in reports)
     assert min(seen.values()) >= 3, seen
     # A 2x3x4x5 tensor: its contractions have two batch axes, and its
-    # unequal axes tell each layout's axes apart.
-    m = _four_way_hierarchy(rng)
-    for w in (random_density(rng, m), _sparse_empirical_density(rng, m, 200)):
-        reports, want_reports = _matches_oracle(m, w)
-        mixed += any(map(_mixing_starts, want_reports.values()))
-        assert reports[("x0", "x1", "x2", "x3")].passes > 10
+    # unequal axes tell each layout's axes apart.  It draws from its own
+    # seeds, apart from the cases above.
+    four_mixed = 0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        m = _four_way_hierarchy(rng)
+        starts = []
+        for w in (random_density(rng, m), _sparse_empirical_density(rng, m, 200)):
+            _, want_reports = _matches_oracle(m, w)
+            mixed += any(map(_mixing_starts, want_reports.values()))
+            starts.append(_mixing_starts(want_reports[("x0", "x1", "x2", "x3")]))
+        four_mixed += any(starts)
+    assert four_mixed >= 3
     assert mixed >= 3
 
 
@@ -403,8 +410,7 @@ def test_mixing_a_repeated_step_changes_nothing():
 def test_degenerate_slice_skipped_by_default_and_fatal_in_strict():
     joint = np.array([[0.5, 0.5], [0.0, 0.0]])
     bins = {n: FeatureBins(n, "continuous", edges=(0.5,)) for n in ("a", "b")}
-    m = AdditiveModel(bins,
-                      {("a", "b"): EffectTensor(("a", "b"), np.ones((2, 2)))})
+    m = AdditiveModel(bins.values(), [EffectTensor(("a", "b"), np.ones((2, 2)))])
     w = {
         ("a", "b"): joint,
         ("a",): np.array([1.0, 0.0]),
@@ -491,14 +497,14 @@ def test_check_purity_flags_fig1a():
 
 
 def test_check_purity_intercept_only_is_vacuous_pass():
-    m = AdditiveModel({}, {(): EffectTensor((), np.asarray(2.0))})
+    m = AdditiveModel([], [EffectTensor((), np.asarray(2.0))])
     report = check_purity(m, {(): np.asarray(1.0)})
     assert report["pass"]
     assert report["max_abs_slice_mean"] == 0.0
 
 
 def test_purify_model_intercept_only_unchanged():
-    m = AdditiveModel({}, {(): EffectTensor((), np.asarray(2.0))})
+    m = AdditiveModel([], [EffectTensor((), np.asarray(2.0))])
     out, reports = purify_model(m, {(): np.asarray(1.0)})
     assert float(out.effects[()].values) == 2.0
     assert reports == {}
@@ -609,7 +615,7 @@ def test_uniform_weights_converge_in_one_pass_any_shape():
             "b": FeatureBins("b", "continuous",
                              edges=tuple(np.arange(1, shape[1], dtype=float))),
         }
-        m = AdditiveModel(bins, {("a", "b"): EffectTensor(("a", "b"), vals)})
+        m = AdditiveModel(bins.values(), [EffectTensor(("a", "b"), vals)])
         w = {
             ("a", "b"): joint,
             ("a",): joint.sum(axis=1),
@@ -652,10 +658,10 @@ def test_permutation_equivariance():
                 out[u] = a
             return out
 
-        pm = AdditiveModel(m.bins, {
-            u: EffectTensor(u, v)
+        pm = AdditiveModel(m.bins.values(), [
+            EffectTensor(u, v)
             for u, v in apply({u: e.values for u, e in m.effects.items()}).items()
-        })
+        ])
         pw = apply(dict(w))
         direct, _ = purify_model(m, w)
         permuted, _ = purify_model(pm, pw)
@@ -675,11 +681,11 @@ def test_purification_is_linear_in_the_interaction():
             "b": FeatureBins("b", "continuous",
                              edges=tuple(np.arange(1, shape[1], dtype=float))),
         }
-        mains = {
-            (): EffectTensor((), np.asarray(float(rng.normal()))),
-            ("a",): EffectTensor(("a",), rng.normal(size=shape[0])),
-            ("b",): EffectTensor(("b",), rng.normal(size=shape[1])),
-        }
+        mains = [
+            EffectTensor((), np.asarray(float(rng.normal()))),
+            EffectTensor(("a",), rng.normal(size=shape[0])),
+            EffectTensor(("b",), rng.normal(size=shape[1])),
+        ]
         A = rng.normal(size=shape)
         B = rng.normal(size=shape)
         alpha = float(rng.uniform(-1.0, 2.0))
@@ -694,8 +700,8 @@ def test_purification_is_linear_in_the_interaction():
         }
 
         def purified(inter):
-            m = AdditiveModel(bins, {
-                **mains, ("a", "b"): EffectTensor(("a", "b"), inter)})
+            m = AdditiveModel(bins.values(), [
+                *mains, EffectTensor(("a", "b"), inter)])
             out, _ = purify_model(m, w)
             return out
 
@@ -712,8 +718,8 @@ def test_purification_is_linear_in_the_interaction():
 # --------------------------------------------------------------------------
 
 def _scaled(model, c):
-    return AdditiveModel(model.bins, {u: EffectTensor(u, c * e.values)
-                                      for u, e in model.effects.items()})
+    return AdditiveModel(model.bins.values(), [EffectTensor(u, c * e.values)
+                                               for u, e in model.effects.items()])
 
 
 def test_purification_is_scale_equivariant():
@@ -758,7 +764,7 @@ def _full_cube_hierarchy(rng, cells):
     for order in range(1, 4):
         for u in itertools.combinations(names, order):
             effects[u] = EffectTensor(u, rng.normal(size=(cells,) * order))
-    return AdditiveModel(bins, effects)
+    return AdditiveModel(bins.values(), effects.values())
 
 
 def test_sparse_cubed_rows_converge():

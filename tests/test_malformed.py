@@ -2,12 +2,14 @@
 every document that parses means what it says.
 
 One sweep of mutations over each input format: a model document, an
-ensemble document (a threshold split and a label-set split) and a data CSV.
-A document mutates by replacing one value or by adding an unknown key to
-one object.  Each mutated input goes through ``cli.main`` for ``purify``
-under uniform and empirical weights and for ``predict``.  A nonzero return
-must write exactly one JSON line to stderr.  Each mutated document that
-parses must write back to itself.  The sweep is deterministic.
+ensemble document (a threshold split and label-set splits) and a data CSV.
+A document mutates by replacing one value, by adding an unknown key to one
+object or by reversing one list of labels.  Each mutated input goes through
+``cli.main`` for ``purify`` under uniform and empirical weights and for
+``predict``.  A nonzero return must write exactly one JSON line to stderr.
+Each mutated document that parses must write back to itself.  Documents
+nested around the JSON parser's depth limit keep the same exit rule.  The
+sweep is deterministic.
 """
 
 import contextlib
@@ -15,7 +17,9 @@ import copy
 import io
 import json
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 from purefx import (DomainError, cli, ensemble_from_json, model_from_json,
                     model_to_json)
@@ -40,7 +44,7 @@ ENSEMBLE = {
         {"split": "x", "threshold": 0.5, "left": {"leaf": 1.0},
          "right": {"split": "c", "threshold": {"labels": ["a"]},
                    "left": {"leaf": 2.0}, "right": {"leaf": 3.0}}},
-        {"split": "c", "threshold": {"labels": ["b"]},
+        {"split": "c", "threshold": {"labels": ["b", "c"]},
          "left": {"leaf": -1.0}, "right": {"leaf": 1.0}},
     ],
 }
@@ -85,7 +89,8 @@ def _at(doc, path):
 
 def _doc_mutations(doc):
     """(path, change, mutated doc): each value replaced by each of
-    ``BAD_VALUES``, then each object given one unknown key."""
+    ``BAD_VALUES``, then each object given one unknown key and each list of
+    labels reversed."""
     for path in _paths(doc):
         for bad in BAD_VALUES:
             yield path, bad, _replaced(doc, path, bad)
@@ -93,6 +98,8 @@ def _doc_mutations(doc):
         node = _at(doc, path)
         if isinstance(node, dict):
             yield path, "extra key", _replaced(doc, path, {**node, "extra": 1})
+        if path[-1:] == ("labels",):
+            yield path, "reversed", _replaced(doc, path, node[::-1])
 
 
 def _csv_mutations():
@@ -176,6 +183,50 @@ def test_every_malformed_input_exits_with_one_json_error_line(tmp_path):
     assert not failures, f"{len(failures)} of {runs} runs: {failures[:20]}"
 
 
+def _nested(depth):
+    """A model whose tensor and an ensemble whose tree nest ``depth`` deep."""
+    model = ('{"features": [{"name": "x", "kind": "continuous", "edges": [0.5]}],'
+             ' "effects": [{"vars": ["x"], "values": %s}]}'
+             % ("[" * depth + "1.0" + "]" * depth))
+    tree = ('{"split": "x", "threshold": 0.5, "left": ' * depth + '{"leaf": 1.0}'
+            + ', "right": {"leaf": 2.0}}' * depth)
+    return model, '{"trees": [%s]}' % tree
+
+
+def _nesting_runs():
+    """(flag, depth, code, stderr) of ``check`` on each deep model and
+    ``purify`` on each deep ensemble, at depths around the parser's limit."""
+    runs = []
+    for depth in [*range(950, 1001), 3000]:
+        model, ensemble = _nested(depth)
+        for flag, command, text in (("--model", "check", model),
+                                    ("--ensemble", "purify", ensemble)):
+            code, stderr = _run([command, flag, "-"], text)
+            runs.append((flag, depth, repr(code) if isinstance(
+                code, BaseException) else code, stderr))
+    return runs
+
+
+def test_deep_nesting_exits_with_one_json_error_line():
+    # A fresh interpreter calls cli.main with about a CLI process's stack
+    # below it, so each depth fails, or not, where it would in the CLI.
+    child = ("import json, sys; sys.path.insert(0, %r); import test_malformed; "
+             "print(json.dumps(test_malformed._nesting_runs()))"
+             % str(Path(__file__).parent))
+    res = subprocess.run([sys.executable, "-c", child],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    runs = json.loads(res.stdout)
+    failures = [(flag, depth, why) for flag, depth, code, stderr in runs
+                if (why := _violation(code, stderr)) or code not in (0, 2)]
+    assert len(runs) == 104 and not failures, failures
+    too_deep = {"error": "DomainError",
+                "message": "the JSON is nested too deeply to read"}
+    for flag, depth, code, stderr in runs:
+        if depth >= 1000:
+            assert code == 2 and json.loads(stderr) == too_deep, (flag, depth)
+
+
 def _floats(doc):
     """``doc`` with every int read as a float; a bool stays a bool."""
     if isinstance(doc, dict):
@@ -187,12 +238,15 @@ def _floats(doc):
 
 def _model_written(doc):
     """What ``model_to_json`` writes for a model document that parses:
-    features by name, effects by (order, vars), a zero intercept added."""
+    features by name, each one's labels sorted, effects by (order, vars), a
+    zero intercept added."""
     doc = _floats(doc)
     effects = doc["effects"]
     if [] not in (e["vars"] for e in effects):
         effects = effects + [{"vars": [], "values": 0.0}]
-    return {**doc, "features": sorted(doc["features"], key=lambda f: f["name"]),
+    features = [{**f, "labels": sorted(f["labels"])} if "labels" in f else f
+                for f in doc["features"]]
+    return {**doc, "features": sorted(features, key=lambda f: f["name"]),
             "effects": sorted(effects, key=lambda e: (len(e["vars"]), e["vars"]))}
 
 

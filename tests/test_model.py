@@ -6,13 +6,15 @@ import pytest
 from purefx import (AdditiveModel, DomainError, EffectTensor, FeatureBins,
                     density_to_json, effect_variance, gen_boolean_fig1,
                     gen_log_lambda, gen_multiplicative, gen_wright,
-                    model_from_json, model_to_json, predict)
+                    ingest_ensemble, model_from_json, model_to_json, predict,
+                    purify_model)
 from purefx.density import bin_dataset
 from purefx.generators import WRIGHT_COEFFS
 
-from helpers import (grid_predictions, oracle_bin, oracle_density_json,
-                     oracle_model_json, oracle_predict, random_density,
-                     random_model, representative, uniform_density,
+from helpers import (FEATURES, columns, grid_predictions, oracle_bin,
+                     oracle_density_json, oracle_model_json, oracle_predict,
+                     random_density, random_ensemble, random_model,
+                     random_points, representative, uniform_density,
                      with_categorical)
 
 BOOL_POINTS = [{"x1": a, "x2": b} for a in (0, 1) for b in (0, 1)]
@@ -29,7 +31,7 @@ def test_predict_fig1_row_d():
 
 
 def test_intercept_only_model():
-    m = AdditiveModel({}, {(): EffectTensor((), np.asarray(3.0))})
+    m = AdditiveModel([], [EffectTensor((), np.asarray(3.0))])
     assert predict(m, {}) == 3.0
     assert predict(m, {"anything": 1.0}) == 3.0
 
@@ -66,7 +68,7 @@ def test_prediction_is_exactly_additive():
         total = predict(m, point)
         for u, eff in m.effects.items():
             others = AdditiveModel(
-                m.bins, {k: v for k, v in m.effects.items() if k != u})
+                m.bins.values(), [v for k, v in m.effects.items() if k != u])
             entry = float(eff.values[tuple(0 for _ in u)])
             assert total - predict(others, point) == pytest.approx(entry, abs=1e-12)
 
@@ -74,12 +76,9 @@ def test_prediction_is_exactly_additive():
 def test_prediction_invariant_to_effect_order():
     rng = np.random.default_rng(11)
     m = random_model(rng)
-    keys = list(m.effects)
-    shuffled = {k: m.effects[k] for k in reversed(keys)}
-    m2 = AdditiveModel(m.bins, shuffled)
-    a = grid_predictions(m)
-    b = grid_predictions(m2)
-    assert np.allclose(a, b, rtol=1e-12, atol=0)
+    m2 = AdditiveModel(reversed(m.bins.values()), reversed(m.effects.values()))
+    assert list(m2.effects) == list(m.effects)
+    assert grid_predictions(m2).tobytes() == grid_predictions(m).tobytes()
 
 
 def test_columns_match_the_loop_oracle():
@@ -150,30 +149,43 @@ def test_model_json_round_trip_is_bit_exact():
             assert back.bins[n] == b
 
 
+def test_models_predict_the_bits_of_their_json():
+    # A model sums its effects in canonical order, the order its JSON keeps.
+    # Ingestion makes them in tree order and purification in cascade order,
+    # and either order rounds most of these sums differently.
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        m = ingest_ensemble(random_ensemble(rng, max_trees=30, max_depth=3))
+        cols = columns(random_points(rng, FEATURES, 200))
+        for model in (m, purify_model(m, uniform_density(m))[0]):
+            back = model_from_json(model_to_json(model))
+            assert predict(back, cols).tobytes() == predict(model, cols).tobytes()
+
+
 # Cells whose shortest text is easy to get wrong: signed zeros, the least
 # subnormal, and the exponents where repr switches notation.
 SPECIAL = (-0.0, 0.0, 5e-324, 1e-05, 1e16, 1e22)
 
 
 def _redrawn(model, draw):
-    return AdditiveModel(model.bins, {
-        u: EffectTensor(u, draw(e.values.shape)) for u, e in model.effects.items()})
+    return AdditiveModel(model.bins.values(), [
+        EffectTensor(u, draw(e.values.shape)) for u, e in model.effects.items()])
 
 
 def _writer_models(rng):
     """Models whose tensors repeat a few values or hold all-distinct ones."""
     pool = np.array(SPECIAL + (1.5, -2.25, 0.1))
-    yield AdditiveModel({}, {(): EffectTensor((), np.asarray(-0.0))})
+    yield AdditiveModel([], [EffectTensor((), np.asarray(-0.0))])
     yield gen_multiplicative(1.0, 2.0, -3.0, 0.5, 0.25, -1.0, n=8)
     yield gen_log_lambda(0.5, 16)
     yield from (gen_boolean_fig1(row) for row in "abcd")
     yield from map(gen_wright, sorted(WRIGHT_COEFFS))
     names = ("température", "x")
-    bins = {names[0]: FeatureBins(names[0], "continuous", edges=(0.5, 1.5)),
-            "x": FeatureBins("x", "categorical", labels=("naïve", "b"))}
-    yield AdditiveModel(bins, {
-        (names[0],): EffectTensor((names[0],), np.array([-0.0, 0.0, 1e22])),
-        names: EffectTensor(names, np.array(SPECIAL).reshape(3, 2))})
+    bins = [FeatureBins(names[0], "continuous", edges=(0.5, 1.5)),
+            FeatureBins("x", "categorical", labels=("b", "naïve"))]
+    yield AdditiveModel(bins, [
+        EffectTensor((names[0],), np.array([-0.0, 0.0, 1e22])),
+        EffectTensor(names, np.array(SPECIAL).reshape(3, 2))])
 
     def distinct(shape):
         # All distinct: a signed zero and a zero differ in their bits.
@@ -205,25 +217,37 @@ def test_effect_vars_must_be_sorted_and_distinct():
 
 
 def test_effect_shape_must_match_bins():
-    bins = {"x": FeatureBins("x", "continuous", edges=(0.0,))}
+    bins = [FeatureBins("x", "continuous", edges=(0.0,))]
     with pytest.raises(DomainError):
-        AdditiveModel(bins, {("x",): EffectTensor(("x",), np.zeros(3))})
+        AdditiveModel(bins, [EffectTensor(("x",), np.zeros(3))])
 
 
-def test_bins_key_must_be_the_feature_name():
-    bins = {"x1": FeatureBins("x2", "continuous", edges=(0.5,))}
-    with pytest.raises(DomainError,
-                       match=r"^bins keyed 'x1' are for feature 'x2'$"):
-        AdditiveModel(bins, {})
+def test_model_keys_its_own_copies_in_canonical_order():
+    bins = [FeatureBins(n, "continuous", edges=(0.5,)) for n in ("y", "x")]
+    effects = [EffectTensor(("x", "y"), np.zeros((2, 2))),
+               EffectTensor(("y",), np.ones(2))]
+    m = AdditiveModel(bins, effects)
+    bins[0] = FeatureBins("y", "continuous", edges=(0.9,))
+    bins.append(FeatureBins("z", "continuous", edges=(0.5,)))
+    effects.clear()
+    assert m.bins == {n: FeatureBins(n, "continuous", edges=(0.5,))
+                      for n in ("x", "y")}
+    assert list(m.bins) == ["x", "y"]
+    assert list(m.effects) == [(), ("y",), ("x", "y")]
 
 
-def test_effect_key_must_be_its_vars():
-    bins = {n: FeatureBins(n, "continuous", edges=(0.5,)) for n in ("x", "y")}
+def test_a_repeated_feature_or_subset_names_its_position():
+    # The texts that model JSON gives for its entries at these positions.
+    x1 = FeatureBins("x1", "continuous", edges=(0.5,))
     with pytest.raises(DomainError) as exc:
-        AdditiveModel(bins, {("y",): EffectTensor(("x",), np.zeros(2))})
-    assert str(exc.value) == "effect keyed ('y',) has vars ('x',)"
+        AdditiveModel([x1, FeatureBins("x1", "continuous", edges=(0.9,))], [])
+    assert str(exc.value) == "feature 1: feature 'x1' repeats"
+    with pytest.raises(DomainError) as exc:
+        AdditiveModel([x1], [EffectTensor(("x1",), np.zeros(2)),
+                             EffectTensor(("x1",), np.ones(2))])
+    assert str(exc.value) == "effect 1: duplicate effect subset ('x1',)"
 
 
 def test_intercept_defaults_to_zero():
-    m = AdditiveModel({}, {})
+    m = AdditiveModel([], [])
     assert float(m.effects[()].values) == 0.0
