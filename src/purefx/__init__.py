@@ -21,7 +21,7 @@ _SUBMODULE = {
                      "purify_model", "required_subsets", "unpurified_mass"),
                     "engine"),
     **dict.fromkeys(("DegenerateSliceError", "DomainError",
-                     "NonConvergenceError", "UnsupportedTreeError"), "errors"),
+                     "NonConvergenceError"), "errors"),
     **dict.fromkeys(("gen_boolean_fig1", "gen_log_lambda", "gen_multiplicative",
                      "gen_random_bench", "gen_wright"), "generators"),
     **dict.fromkeys(("AdditiveModel", "EffectTensor", "model_from_json",

@@ -52,8 +52,6 @@ def _read_text(path):
 
 
 def _load_model(args):
-    if args.ensemble and args.model:
-        raise DomainError("give --model or --ensemble, not both")
     if args.ensemble:
         return ingest_ensemble(ensemble_from_json(_read_text(args.ensemble)))
     return model_from_json(_read_text(args.model))
@@ -103,11 +101,6 @@ def _cmd_gen(args):
     # Imported here: no other command needs the generators.
     from .generators import (gen_boolean_fig1, gen_log_lambda,
                              gen_multiplicative, gen_wright)
-    chosen = [x for x in (args.fig1_row, args.wright, args.lam, args.mult)
-              if x is not None]
-    if len(chosen) != 1:
-        raise DomainError(
-            "gen needs exactly one of --fig1-row, --wright, --lambda, --mult")
     if args.fig1_row is not None:
         model = gen_boolean_fig1(args.fig1_row)
     elif args.wright is not None:
@@ -147,8 +140,9 @@ def _cmd_predict(args):
 
 
 def _model_flags(p):
-    p.add_argument("--model", help="model JSON path ('-' or omitted reads stdin)")
-    p.add_argument("--ensemble", help="tree-ensemble JSON path (ingested first)")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--model", help="model JSON path ('-' or omitted reads stdin)")
+    g.add_argument("--ensemble", help="tree-ensemble JSON path (ingested first)")
 
 
 def _weight_flags(p):
@@ -156,8 +150,15 @@ def _weight_flags(p):
     p.add_argument("--data", help="training CSV for empirical/laplace weights")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``DomainError``; subparsers share the class."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="purefx",
         description="Canonicalize additive models with interactions by mass-moving.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -182,11 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gen", help="emit a synthetic model as JSON")
-    p.add_argument("--fig1-row", choices=["a", "b", "c", "d"])
-    p.add_argument("--wright", help='generator name, e.g. "Interaction Only"')
-    p.add_argument("--lambda", dest="lam", type=float,
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--fig1-row", choices=["a", "b", "c", "d"])
+    g.add_argument("--wright", help='generator name, e.g. "Interaction Only"')
+    g.add_argument("--lambda", dest="lam", type=float,
                    help="log/product blend weight in [0, 1]")
-    p.add_argument("--mult", help="a,b,c,d,alpha,beta for the product model")
+    g.add_argument("--mult", help="a,b,c,d,alpha,beta for the product model")
     p.add_argument("--grid", type=int, default=64, help="cells per axis")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
@@ -217,9 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NonConvergenceError as exc:
         return _fail(exc, EXIT_NONCONVERGENCE)
@@ -234,8 +235,8 @@ def main(argv=None) -> int:
 def run() -> None:
     """Console entry point: run ``main()`` and exit once its output is flushed.
 
-    An exception from ``main()`` (argparse's ``SystemExit`` included) or from
-    a flush takes the interpreter's normal exit, which reports it as before.
+    An exception from ``main()`` (``--help``'s ``SystemExit`` included) or
+    from a flush takes the interpreter's normal exit, which reports it as before.
     """
     code = main()
     try:

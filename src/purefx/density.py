@@ -8,7 +8,8 @@ import numpy as np
 
 from .engine import required_subsets
 from .errors import DomainError
-from .model import AdditiveModel, Subset, _dumps, _json_array, bin_dataset
+from .model import (AdditiveModel, Subset, _dumps, _json_array, bin_dataset,
+                    canonical_order)
 
 MODES = ("uniform", "empirical", "laplace")
 
@@ -62,14 +63,18 @@ def dataset_from_csv(path) -> dict[str, tuple[str, ...]]:
 
     Feature names must be distinct, and every row must have as many fields
     as the header; blank lines are skipped.  Cells stay strings until binning
-    parses them.
+    parses them.  A line the csv module cannot read, such as one with a field
+    over its size limit, raises a ``DomainError`` naming that line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(filter(None, reader), None)
-        if header is None:
-            raise DomainError(f"{path}: empty CSV")
-        rows = [r for r in reader if r]
+        try:
+            header = next(filter(None, reader), None)
+            rows = [r for r in reader if r]
+        except csv.Error as exc:
+            raise DomainError(f"{path}, line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise DomainError(f"{path}: empty CSV")
     for i, name in enumerate(header):
         if name in header[:i]:
             raise DomainError(f"{path}: feature {name!r} repeats in the header")
@@ -86,5 +91,5 @@ def density_to_json(w: dict[Subset, np.ndarray]) -> str:
     """Canonical JSON of the weight tables, by (order, vars)."""
     subsets = ",".join(
         '{"vars":%s,"weights":%s}' % (_dumps(list(u)), _json_array(w[u]))
-        for u in sorted(w, key=lambda u: (len(u), u)))
+        for u in sorted(w, key=canonical_order))
     return '{"subsets":[%s]}\n' % subsets

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSliceError, DomainError, NonConvergenceError
-from .model import AdditiveModel, EffectTensor, Subset
+from .model import AdditiveModel, EffectTensor, Subset, canonical_order
 
 MAX_PASSES = 10_000  # default sweep budget per tensor
 
@@ -324,7 +324,7 @@ def required_subsets(model: AdditiveModel) -> list[Subset]:
     for u in model.effects:
         for r in range(len(u) + 1):
             out.update(itertools.combinations(u, r))
-    return sorted(out, key=lambda u: (len(u), u))
+    return sorted(out, key=canonical_order)
 
 
 def _check_tol(tol: float) -> None:

@@ -9,10 +9,6 @@ class DegenerateSliceError(DomainError):
     """A tensor slice carries zero total weight; its mean is undefined."""
 
 
-class UnsupportedTreeError(DomainError):
-    """A tree splits on more than three distinct features."""
-
-
 class NonConvergenceError(RuntimeError):
     """Purification exhausted its pass budget with mass above tolerance.
 

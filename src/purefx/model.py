@@ -14,6 +14,11 @@ from .errors import DomainError
 Subset = tuple[str, ...]
 
 
+def canonical_order(u: Subset) -> tuple[int, Subset]:
+    """Sort key of the canonical subset order: by order, then by vars."""
+    return (len(u), u)
+
+
 def _frozen(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -82,7 +87,7 @@ class AdditiveModel:
         effects.setdefault((), EffectTensor((), np.zeros(())))
         object.__setattr__(self, "bins", dict(sorted(bins.items())))
         object.__setattr__(self, "effects", {
-            u: effects[u] for u in sorted(effects, key=lambda u: (len(u), u))})
+            u: effects[u] for u in sorted(effects, key=canonical_order)})
 
 
 def bin_dataset(model: AdditiveModel, data: dict) -> dict[str, np.ndarray]:

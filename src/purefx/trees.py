@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bins import FeatureBins
-from .errors import DomainError, UnsupportedTreeError
+from .errors import DomainError
 from .model import (AdditiveModel, EffectTensor, _entry, _json_document, _keys,
                     _list, _number)
 
@@ -106,14 +106,14 @@ def ingest_ensemble(ensemble: TreeEnsemble) -> AdditiveModel:
     label-set split keeps a boolean cell mask.  The other tensors start at
     -0.0, so each cell sums ``-0.0 + v1 + v2 + ...`` in tree order and a
     lone -0.0 leaf keeps its sign.  A tree over more than
-    ``MAX_TREE_FEATURES`` features raises ``UnsupportedTreeError``.
+    ``MAX_TREE_FEATURES`` features raises ``DomainError``.
     """
     bins = collect_bins(ensemble)
     acc = {(): np.array(float(ensemble.base_score))}
     for i, tree in enumerate(ensemble.trees):
         feats = tuple(sorted({n.feature for n in _splits(tree)}))
         if len(feats) > MAX_TREE_FEATURES:
-            raise UnsupportedTreeError(
+            raise DomainError(
                 f"tree {i} splits on {len(feats)} distinct features "
                 f"{list(feats)}; at most {MAX_TREE_FEATURES} are supported")
         axis = {f: k for k, f in enumerate(feats)}

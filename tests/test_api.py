@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import purefx
 import purefx.density
+from purefx import cli
 
 from helpers import ensemble_to_json
 
@@ -47,6 +49,23 @@ def test_readme_library_examples_run_as_commented():
     assert c_pred == "unchanged from the input model"
     assert pred == purefx.predict(namespace["model"], {"x1": 1, "x2": 1})
     assert repr(preds) == c_preds == "array([ 0., -1.,  0.,  0.])"
+
+
+def test_readme_cli_commands_parse():
+    # Every `purefx` command of README's CLI block, continuation lines joined
+    # and pipelines split, must parse: a flag renamed or removed fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [part.strip()
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.strip() and not line.lstrip().startswith("#")
+                for part in line.split("|")]
+    assert len(commands) == 8
+    for command in commands:
+        prog, *argv = shlex.split(command)
+        assert prog == "purefx", command
+        cli.build_parser().parse_args(argv)
 
 
 def fresh_python(*argv, **env):

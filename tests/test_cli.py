@@ -284,7 +284,7 @@ def test_purify_ensemble_tree_feature_limit(tmp_path):
     ens.write_text(ensemble_to_json(TreeEnsemble((aba, abcd))))
     res = run_cli("purify", "--ensemble", str(ens))
     assert res.returncode == 2
-    assert '"error": "UnsupportedTreeError"' in res.stderr
+    assert '"error": "DomainError"' in res.stderr
     assert "tree 1 " in json.loads(res.stderr)["message"]
 
 
@@ -518,7 +518,21 @@ def test_model_with_ensemble_exits_2(tmp_path, command):
                   "--data", str(data))
     assert res.returncode == 2, res.stderr
     assert json.loads(res.stderr) == {
-        "error": "DomainError", "message": "give --model or --ensemble, not both"}
+        "error": "DomainError",
+        "message": "argument --ensemble: not allowed with argument --model"}
+
+
+def test_overlong_csv_field_exits_2_naming_its_line(tmp_path, capsys):
+    # The csv module refuses a field over 131072 characters by default.
+    src, data = tmp_path / "a.json", tmp_path / "big.csv"
+    src.write_text(model_to_json(gen_boolean_fig1("a")))
+    big = "1" * 200_000
+    for text, line in ((f"x1,x2\n0.5,0.5\n\n0.5,{big}\n", 4), (f"x1,{big}\n", 1)):
+        data.write_text(text)
+        assert cli.main(["predict", "--model", str(src), "--data", str(data)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DomainError",
+            "message": f"{data}, line {line}: field larger than field limit (131072)"}
 
 
 def test_missing_model_file_exits_1():

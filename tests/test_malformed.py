@@ -8,7 +8,8 @@ object or by reversing one list of labels.  Each mutated input goes through
 ``cli.main`` for ``purify`` under uniform and empirical weights and for
 ``predict``.  A nonzero return must write exactly one JSON line to stderr.
 Each mutated document that parses must write back to itself.  Documents
-nested around the JSON parser's depth limit keep the same exit rule.  The
+nested around the JSON parser's depth limit keep the same exit rule, and so
+does a table of malformed command lines, each of which must exit 2.  The
 sweep is deterministic.
 """
 
@@ -20,6 +21,8 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from purefx import (DomainError, cli, ensemble_from_json, model_from_json,
                     model_to_json)
@@ -225,6 +228,51 @@ def test_deep_nesting_exits_with_one_json_error_line():
     for flag, depth, code, stderr in runs:
         if depth >= 1000:
             assert code == 2 and json.loads(stderr) == too_deep, (flag, depth)
+
+
+CONFLICT = "argument --ensemble: not allowed with argument --model"
+
+# (argv, the message if pinned): usage errors, then generator values.
+BAD_ARGV = [
+    (["purify", "--bogus"], None),
+    (["purify", "--tol", "abc"], None),
+    (["check", "--tol", "abc"], None),
+    (["purify", "--max-passes", "1.5"], None),
+    (["bench", "--dims", "x"], None),
+    (["purify", "--weights", "kernel"], None),
+    (["predict", "--model", "-"], None),
+    ([], None),
+    (["frobnicate"], None),
+    *(([command, "--model", "-", "--ensemble", "-"], CONFLICT)
+      for command in ("purify", "check", "density", "predict")),
+    (["gen"], "one of the arguments --fig1-row --wright --lambda --mult is required"),
+    (["gen", "--fig1-row", "a", "--wright", "Redundant"],
+     "argument --wright: not allowed with argument --fig1-row"),
+    (["gen", "--mult", "1,2,3,4,5"], "--mult expects a,b,c,d,alpha,beta"),
+    (["gen", "--mult", "0,1,1,x,0,0"], None),
+]
+
+
+def test_every_malformed_argv_exits_with_one_json_error_line():
+    failures = []
+    for argv, message in BAD_ARGV:
+        code, stderr = _run(argv, "")
+        why = _violation(code, stderr) or (code != 2 and f"exit {code}")
+        if not why and message and json.loads(stderr) != {
+                "error": "DomainError", "message": message}:
+            why = f"stderr {stderr!r}"
+        if why:
+            failures.append((argv, why))
+    assert not failures, failures
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: purefx ["),
+                                         (["gen", "--help"], "usage: purefx gen [")])
+def test_help_still_exits_0_with_its_usage(argv, usage):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0 and out.getvalue().startswith(usage)
 
 
 def _floats(doc):

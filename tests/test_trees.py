@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from purefx import (DomainError, TreeEnsemble, TreeNode, UnsupportedTreeError,
-                    check_purity, ensemble_from_json, gen_boolean_fig1,
-                    ingest_ensemble, predict, purify_model)
+from purefx import (DomainError, TreeEnsemble, TreeNode, check_purity,
+                    ensemble_from_json, gen_boolean_fig1, ingest_ensemble,
+                    predict, purify_model)
 from purefx.trees import collect_bins
 
 from helpers import (FEATURES, columns, ensemble_eval, ensemble_to_json,
@@ -126,10 +126,10 @@ def chain(features, values):
 
 def test_four_distinct_features_rejected():
     deep = chain("abcd", [1.0, 2.0, 3.0, 4.0, 5.0])
-    with pytest.raises(UnsupportedTreeError,
+    with pytest.raises(DomainError,
                        match=r"tree 0 .*\['a', 'b', 'c', 'd'\]"):
         ingest_ensemble(TreeEnsemble((deep,)))
-    with pytest.raises(UnsupportedTreeError, match="tree 1 "):
+    with pytest.raises(DomainError, match="tree 1 "):
         ingest_ensemble(TreeEnsemble((stump("a", 0.5, 0.0, 1.0), deep)))
 
 
