@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -58,11 +59,7 @@ def _load_model(args):
 
 
 def _build_density(model, args):
-    data = None
-    if args.weights in ("empirical", "laplace"):
-        if not args.data:
-            raise DomainError(f"--weights {args.weights} requires --data")
-        data = dataset_from_csv(args.data)
+    data = dataset_from_csv(args.data) if args.data else None
     return estimate_density(model, args.weights, data)
 
 
@@ -101,17 +98,17 @@ def _cmd_gen(args):
     # Imported here: no other command needs the generators.
     from .generators import (gen_boolean_fig1, gen_log_lambda,
                              gen_multiplicative, gen_wright)
-    if args.fig1_row is not None:
+    grid = 64 if args.grid is None else args.grid
+    if args.lam is not None:
+        model = gen_log_lambda(args.lam, grid)
+    elif args.mult is not None:
+        model = gen_multiplicative(*args.mult, n=grid)
+    elif args.grid is not None:  # the Boolean generators' grids are fixed
+        raise DomainError("--grid applies only to --lambda and --mult")
+    elif args.fig1_row is not None:
         model = gen_boolean_fig1(args.fig1_row)
-    elif args.wright is not None:
-        model = gen_wright(args.wright)
-    elif args.lam is not None:
-        model = gen_log_lambda(args.lam, args.grid)
     else:
-        parts = [float(x) for x in args.mult.split(",")]
-        if len(parts) != 6:
-            raise DomainError("--mult expects a,b,c,d,alpha,beta")
-        model = gen_multiplicative(*parts, n=args.grid)
+        model = gen_wright(args.wright)
     _write(model_to_json(model), args.out)
     return EXIT_OK
 
@@ -147,7 +144,19 @@ def _model_flags(p):
 
 def _weight_flags(p):
     p.add_argument("--weights", default="uniform", choices=MODES)
-    p.add_argument("--data", help="training CSV for empirical/laplace weights")
+    p.add_argument("--data", help="training CSV whose rows the weights count")
+
+
+def _mult(text):
+    """``--mult``'s value: six finite numbers a,b,c,d,alpha,beta."""
+    try:
+        parts = [float(x) for x in text.split(",")]
+        if len(parts) == 6 and all(map(math.isfinite, parts)):
+            return parts
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected six finite numbers a,b,c,d,alpha,beta, not {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,8 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--wright", help='generator name, e.g. "Interaction Only"')
     g.add_argument("--lambda", dest="lam", type=float,
                    help="log/product blend weight in [0, 1]")
-    g.add_argument("--mult", help="a,b,c,d,alpha,beta for the product model")
-    p.add_argument("--grid", type=int, default=64, help="cells per axis")
+    g.add_argument("--mult", type=_mult,
+                   help="a,b,c,d,alpha,beta for the product model")
+    p.add_argument("--grid", type=int,
+                   help="cells per axis of --lambda and --mult (default 64)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 

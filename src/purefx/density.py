@@ -30,10 +30,12 @@ def estimate_density(model: AdditiveModel, mode: str = "uniform",
     ``mode`` is one of ``MODES``; ``empirical`` and ``laplace`` count the
     rows of ``data``, a dict of columns (or of single values, one row), which
     must be nonempty.  Only the columns of features that some effect uses
-    are read.
+    are read.  ``uniform`` reads no data, and refuses any it is given.
     """
     if mode not in MODES:
         raise DomainError(f"unknown density mode {mode!r}")
+    if mode == "uniform" and data is not None:
+        raise DomainError("uniform density reads no dataset")
     cols = {}
     if mode in ("empirical", "laplace"):
         if data is not None:

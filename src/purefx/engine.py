@@ -248,7 +248,7 @@ def _contractions(W: np.ndarray, S: list[np.ndarray]) -> list[list[tuple]]:
 
 
 def _purify_subset(T0: np.ndarray, W: np.ndarray, u: Subset, tol: float,
-                   scale: float, max_passes: int, strict: bool):
+                   scale: float, max_passes: int):
     """Center every slice of ``T0`` under weights ``W`` of its shape; returns
     ``(T, deposits, report)``.
 
@@ -274,15 +274,7 @@ def _purify_subset(T0: np.ndarray, W: np.ndarray, u: Subset, tol: float,
     on.
     """
     axes = range(len(u))
-    wsum = _slice_sums(W)
-    if strict:
-        raw = _views(wsum, W.shape)
-        for axis in reversed(axes):
-            if not np.all(raw[axis] > 0.0):
-                raise DegenerateSliceError(
-                    f"zero-weight slice of {u} along {u[axis]!r}")
-
-    wflat = _slice_weights(wsum)
+    wflat = _slice_weights(_slice_sums(W))
     sums = _slice_sums(W * T0)
     deposits = np.zeros_like(sums)
     step = np.empty_like(sums)
@@ -344,20 +336,27 @@ def purify_model(model: AdditiveModel, w: dict, tol: float = 1e-12,
     deposits into, which are then purified in turn; all moved mass ends in
     the intercept.  ``tol`` is relative to the input model's scale (its
     largest |effect value|); it must be finite and >= 0, and ``max_passes``
-    at least 1.
+    at least 1.  Under ``strict``, the table check also refuses the first
+    zero-weight slice in cascade order with ``DegenerateSliceError``.
     """
     _check_tol(tol)
     if max_passes < 1:
         raise DomainError(f"max_passes must be at least 1, not {max_passes}")
     tables = {u: _weights(w, u, tuple(model.bins[f].n_cells for f in u))
               for u in required_subsets(model)}
+    cascade = sorted(filter(None, tables), key=_cascade_order)
+    for u in cascade if strict else ():
+        for axis in reversed(range(len(u))):
+            if not np.all(tables[u].sum(axis=axis) > 0.0):
+                raise DegenerateSliceError(
+                    f"zero-weight slice of {u} along {u[axis]!r}")
 
     tensors = {u: np.array(e.values, dtype=float) for u, e in model.effects.items()}
     scale = _scale(tensors)
     reports: dict[Subset, ConvergenceReport] = {}
-    for u in sorted(filter(None, tables), key=_cascade_order):
+    for u in cascade:
         tensors[u], deposits, reports[u] = _purify_subset(
-            tensors[u], tables[u], u, tol, scale, max_passes, strict)
+            tensors[u], tables[u], u, tol, scale, max_passes)
         for axis in reversed(range(len(u))):
             sub = u[:axis] + u[axis + 1:]
             tensors[sub] = tensors.get(sub, 0.0) + deposits[axis]

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -66,6 +67,21 @@ def test_readme_cli_commands_parse():
         prog, *argv = shlex.split(command)
         assert prog == "purefx", command
         cli.build_parser().parse_args(argv)
+
+
+def test_readme_cli_documents_every_flag():
+    # Every long option of every subcommand is named in README's CLI section.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    missing = [(command, flag)
+               for command, parser in subparsers.choices.items()
+               for action in parser._actions
+               for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"
+               and not re.search(re.escape(flag) + r"(?![\w-])", section)]
+    assert not missing, missing
 
 
 def fresh_python(*argv, **env):

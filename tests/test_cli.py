@@ -584,6 +584,51 @@ def test_zero_weight_slice_exits_4_when_strict(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_strict_refuses_a_degenerate_table_before_an_earlier_tensor_fails(tmp_path):
+    # ('x1', 'x2') is swept first and cannot converge in one pass; only
+    # ('x2', 'x3') has a zero-weight slice, since x3 is always 0.
+    bins = [FeatureBins(n, "continuous", edges=(0.5,)) for n in ("x1", "x2", "x3")]
+    effects = [EffectTensor(("x1", "x2"), np.array([[1.0, -2.0], [0.5, 3.0]])),
+               EffectTensor(("x2", "x3"), np.array([[1.0, 2.0], [-1.0, 0.0]]))]
+    src = tmp_path / "m.json"
+    src.write_text(model_to_json(AdditiveModel(bins, effects)))
+    data = tmp_path / "data.csv"
+    rows = ["0,0,0"] * 5 + ["0,1,0", "1,0,0"] + ["1,1,0"] * 3
+    data.write_text("\n".join(["x1,x2,x3", *rows]) + "\n")
+    argv = ("purify", "--model", str(src), "--weights", "empirical",
+            "--data", str(data), "--max-passes", "1")
+    res = run_cli(*argv)
+    assert res.returncode == 3
+    assert "tensor ('x1', 'x2')" in json.loads(res.stderr)["message"]
+    res = run_cli(*argv, "--strict")
+    assert res.returncode == 4
+    assert json.loads(res.stderr) == {
+        "error": "DegenerateSliceError",
+        "message": "zero-weight slice of ('x2', 'x3') along 'x2'"}
+
+
+def test_data_is_read_by_the_counting_modes_only(tmp_path, capsys):
+    src = tmp_path / "a.json"
+    src.write_text(model_to_json(gen_boolean_fig1("a")))
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2\n0.2,0.2\n0.3,0.7\n")
+
+    def error(*argv):
+        code = cli.main(list(argv))
+        return code, json.loads(capsys.readouterr().err)
+
+    for command in ("purify", "check", "density"):
+        base = (command, "--model", str(src))
+        assert error(*base, "--weights", "uniform", "--data", str(data)) == (
+            2, {"error": "DomainError", "message": "uniform density reads no dataset"})
+        code, err = error(*base, "--data", str(tmp_path / "missing.csv"))
+        assert (code, err["error"]) == (1, "FileNotFoundError")
+        for mode in ("empirical", "laplace"):
+            assert error(*base, "--weights", mode) == (2, {
+                "error": "DomainError",
+                "message": f"{mode} density requires a nonempty dataset"})
+
+
 def _skewed_csv(tmp_path):
     p = tmp_path / "skew.csv"
     rows = ["x1,x2"] + ["0,0"] * 60 + ["1,1"] * 3 + ["0,1"] * 1

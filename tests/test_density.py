@@ -32,12 +32,12 @@ def test_uniform_is_quarter_per_cell():
     assert float(w[()]) == 1.0
 
 
-def test_uniform_ignores_any_dataset():
-    data = boolean_rows([(0, 0)] * 5)
-    a = estimate_density(boolean_model(), "uniform")
-    b = estimate_density(boolean_model(), "uniform", data)
-    for u in a:
-        assert np.array_equal(a[u], b[u])
+def test_uniform_refuses_any_dataset():
+    # Only the counting modes read data, so a dataset given to uniform
+    # would be ignored; even an empty one is refused.
+    for data in (boolean_rows([(0, 0)] * 5), {}):
+        with pytest.raises(DomainError, match="^uniform density reads no dataset$"):
+            estimate_density(boolean_model(), "uniform", data)
 
 
 def test_empirical_counts_normalized():
@@ -76,7 +76,8 @@ def test_laplace_is_strictly_positive_even_for_unseen_cells():
 def test_every_table_sums_to_one():
     data = boolean_rows([(0, 1), (1, 0), (1, 1)])
     for mode in ("uniform", "empirical", "laplace"):
-        w = estimate_density(boolean_model(), mode, data)
+        w = estimate_density(boolean_model(), mode,
+                             None if mode == "uniform" else data)
         for u in w:
             assert w[u].sum() == pytest.approx(1.0)
             assert np.all(w[u] >= 0)
@@ -103,7 +104,8 @@ def test_single_values_count_as_one_row(mode):
 
 @pytest.mark.parametrize("mode", ["uniform", "empirical", "laplace"])
 def test_intercept_only_table_is_exactly_one(mode):
-    w = estimate_density(AdditiveModel([], []), mode, {"x1": ["0.1", "0.9"]})
+    data = None if mode == "uniform" else {"x1": ["0.1", "0.9"]}
+    w = estimate_density(AdditiveModel([], []), mode, data)
     assert w[()] == 1.0
 
 
@@ -196,6 +198,6 @@ def test_estimated_densities_drive_the_purifier():
     data = boolean_rows([(int(a), int(b))
                          for a, b in rng.integers(0, 2, size=(30, 2))])
     for mode in ("uniform", "laplace"):
-        w = estimate_density(m, mode, data)
+        w = estimate_density(m, mode, None if mode == "uniform" else data)
         out, _ = purify_model(m, w)
         assert set(out.effects) == {(), ("x1",), ("x2",), ("x1", "x2")}

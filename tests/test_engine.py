@@ -235,7 +235,7 @@ def _matches_oracle(m, w, strict=False):
         T0, W = tensors[u], w[u]
         ref_T, ref_D, ref = oracle_purify_subset(T0, W, u, 1e-12, scale, 10_000,
                                                  strict)
-        T, D, got = _purify_subset(T0, W, u, 1e-12, scale, 10_000, strict)
+        T, D, got = _purify_subset(T0, W, u, 1e-12, scale, 10_000)
         assert got == report, u
         assert len(report.trace) == 1 + len(u) * report.passes, u
         start = _mixing_starts(ref)
@@ -349,7 +349,7 @@ def test_sweep_lands_on_the_closed_form_fixed_point():
     cases += [(m.effects[u].values, w[u]) for m, w in _beta_cubes()]
     for T0, W in cases:
         scale = float(np.max(np.abs(T0)))
-        T, D, _ = _purify_subset(T0, W, u[:T0.ndim], 1e-15, scale, 10_000, False)
+        T, D, _ = _purify_subset(T0, W, u[:T0.ndim], 1e-15, scale, 10_000)
         want_T, want_D = oracle_fixed_point(T0, W)
         for got, want in zip([T, *D], [want_T, *want_D]):
             assert np.max(np.abs(got - want)) <= 1e-10 * scale
@@ -362,7 +362,7 @@ def test_sweep_leaves_its_inputs_unchanged():
     T0.setflags(write=False)
     W.setflags(write=False)
     _, _, report = _purify_subset(T0, W, u, 1e-12, float(np.max(np.abs(T0))),
-                                  10_000, False)
+                                  10_000)
     assert report.passes > 1
     assert np.array_equal(T0, m.effects[u].values)
     assert np.array_equal(W, w[u])
@@ -423,6 +423,24 @@ def test_degenerate_slice_skipped_by_default_and_fatal_in_strict():
     assert report["pass"]
     with pytest.raises(DegenerateSliceError):
         purify_model(m, w, strict=True)
+
+
+def test_strict_refuses_a_lower_order_table_before_any_sweep(monkeypatch):
+    # Only the pair table under the triple has a zero-weight slice, so the
+    # sweep would reach it only after sweeping the triple.
+    def no_sweep(*args):
+        raise AssertionError("a tensor was swept")
+
+    monkeypatch.setattr("purefx.engine._purify_subset", no_sweep)
+    names = ("a", "b", "c")
+    bins = [FeatureBins(n, "continuous", edges=(0.5,)) for n in names]
+    m = AdditiveModel(bins, [EffectTensor(names, np.ones((2, 2, 2)))])
+    w = {u: np.full((2,) * len(u), 0.5 ** len(u))
+         for r in range(4) for u in itertools.combinations(names, r)}
+    w[("a", "b")] = np.array([[0.5, 0.5], [0.0, 0.0]])
+    with pytest.raises(DegenerateSliceError) as exc:
+        purify_model(m, w, strict=True)
+    assert str(exc.value) == "zero-weight slice of ('a', 'b') along 'b'"
 
 
 # --------------------------------------------------------------------------

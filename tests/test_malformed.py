@@ -248,8 +248,11 @@ BAD_ARGV = [
     (["gen"], "one of the arguments --fig1-row --wright --lambda --mult is required"),
     (["gen", "--fig1-row", "a", "--wright", "Redundant"],
      "argument --wright: not allowed with argument --fig1-row"),
-    (["gen", "--mult", "1,2,3,4,5"], "--mult expects a,b,c,d,alpha,beta"),
-    (["gen", "--mult", "0,1,1,x,0,0"], None),
+    *((["gen", "--mult", mult], "argument --mult: expected six finite numbers "
+       f"a,b,c,d,alpha,beta, not {mult!r}")
+      for mult in ("1,2,3,4,5", "0,1,1,x,0,0", "nan,1,1,1,0,0")),
+    (["gen", "--grid", "-1", "--fig1-row", "a"],
+     "--grid applies only to --lambda and --mult"),
 ]
 
 
