@@ -39,7 +39,7 @@ def _fail(exc, code):
 
 def _write(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -48,7 +48,7 @@ def _write(text: str, out_path):
 def _read_text(path):
     if path is None or path == "-":
         return sys.stdin.read()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 

@@ -15,8 +15,6 @@ MODES = ("uniform", "empirical", "laplace")
 
 
 def _counts(model: AdditiveModel, u: Subset, cols: dict[str, np.ndarray]) -> np.ndarray:
-    if not u:
-        return np.ones(())
     shape = tuple(model.bins[name].n_cells for name in u)
     flat = np.ravel_multi_index(tuple(np.ravel(cols[name]) for name in u), shape)
     counts = np.bincount(flat, minlength=int(np.prod(shape)))
@@ -25,7 +23,8 @@ def _counts(model: AdditiveModel, u: Subset, cols: dict[str, np.ndarray]) -> np.
 
 def estimate_density(model: AdditiveModel, mode: str = "uniform",
                      data: dict | None = None) -> dict[Subset, np.ndarray]:
-    """The weights: one normalized table per required subset, ``{subset: table}``.
+    """The weights: one normalized table per subset of ``required_subsets``,
+    ``{subset: table}``; the intercept has none.
 
     ``mode`` is one of ``MODES``; ``empirical`` and ``laplace`` count the
     rows of ``data``, a dict of columns (or of single values, one row), which
@@ -68,7 +67,7 @@ def dataset_from_csv(path) -> dict[str, tuple[str, ...]]:
     parses them.  A line the csv module cannot read, such as one with a field
     over its size limit, raises a ``DomainError`` naming that line.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(filter(None, reader), None)

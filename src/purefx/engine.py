@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSliceError, DomainError, NonConvergenceError
-from .model import AdditiveModel, EffectTensor, Subset, canonical_order
+from .model import AdditiveModel, EffectTensor, Subset
 
 MAX_PASSES = 10_000  # default sweep budget per tensor
 
@@ -111,12 +111,6 @@ def _scale(tensors) -> float:
 def _pure(worst: float, tol: float, scale: float) -> bool:
     """The purity rule shared by the sweep and ``check_purity``."""
     return worst <= tol * scale
-
-
-def _cascade_order(u: Subset):
-    """Sort key of the cascade and the purity report: highest order first,
-    lexicographic within an order."""
-    return (-len(u), u)
 
 
 def _weights(w: dict, u: Subset, shape: tuple[int, ...]) -> np.ndarray:
@@ -311,12 +305,14 @@ def _purify_subset(T0: np.ndarray, W: np.ndarray, u: Subset, tol: float,
 
 
 def required_subsets(model: AdditiveModel) -> list[Subset]:
-    """Every effect subset plus everything reachable by removing features."""
+    """The subsets the cascade sweeps, in its order: every nonempty effect
+    subset and every nonempty subset of one, highest order first and
+    lexicographic within an order."""
     out: set[Subset] = set()
     for u in model.effects:
-        for r in range(len(u) + 1):
+        for r in range(1, len(u) + 1):
             out.update(itertools.combinations(u, r))
-    return sorted(out, key=canonical_order)
+    return sorted(out, key=lambda u: (-len(u), u))
 
 
 def _check_tol(tol: float) -> None:
@@ -328,24 +324,24 @@ def purify_model(model: AdditiveModel, w: dict, tol: float = 1e-12,
                  max_passes: int = MAX_PASSES, strict: bool = False):
     """Purify every tensor of the model; returns (model, reports).
 
-    The one purification call.  ``w`` maps every required subset, ``()``
-    included, to its weight table, and all tables are checked before any
-    sweep.  It walks every nonempty required subset once, highest order
-    first and lexicographic within an order; ``reports`` is keyed in that
-    order.  The first pass over a tensor creates the lower-order tensors it
-    deposits into, which are then purified in turn; all moved mass ends in
-    the intercept.  ``tol`` is relative to the input model's scale (its
-    largest |effect value|); it must be finite and >= 0, and ``max_passes``
-    at least 1.  Under ``strict``, the table check also refuses the first
-    zero-weight slice in cascade order with ``DegenerateSliceError``.
+    The one purification call.  ``w`` maps every subset of
+    ``required_subsets(model)`` to its weight table; other keys, ``()``
+    included, are ignored.  All tables are checked before any sweep.  It
+    walks ``required_subsets(model)`` once, in its order; ``reports`` is
+    keyed in that order.  The first pass over a tensor creates the
+    lower-order tensors it deposits into, which are then purified in turn;
+    all moved mass ends in the intercept.  ``tol`` is relative to the input
+    model's scale (its largest |effect value|); it must be finite and >= 0,
+    and ``max_passes`` at least 1.  Under ``strict``, the table check also
+    refuses the first zero-weight slice in cascade order with
+    ``DegenerateSliceError``.
     """
     _check_tol(tol)
     if max_passes < 1:
         raise DomainError(f"max_passes must be at least 1, not {max_passes}")
     tables = {u: _weights(w, u, tuple(model.bins[f].n_cells for f in u))
               for u in required_subsets(model)}
-    cascade = sorted(filter(None, tables), key=_cascade_order)
-    for u in cascade if strict else ():
+    for u in tables if strict else ():
         for axis in reversed(range(len(u))):
             if not np.all(tables[u].sum(axis=axis) > 0.0):
                 raise DegenerateSliceError(
@@ -354,9 +350,9 @@ def purify_model(model: AdditiveModel, w: dict, tol: float = 1e-12,
     tensors = {u: np.array(e.values, dtype=float) for u, e in model.effects.items()}
     scale = _scale(tensors)
     reports: dict[Subset, ConvergenceReport] = {}
-    for u in cascade:
+    for u, W in tables.items():
         tensors[u], deposits, reports[u] = _purify_subset(
-            tensors[u], tables[u], u, tol, scale, max_passes)
+            tensors[u], W, u, tol, scale, max_passes)
         for axis in reversed(range(len(u))):
             sub = u[:axis] + u[axis + 1:]
             tensors[sub] = tensors.get(sub, 0.0) + deposits[axis]
@@ -377,7 +373,7 @@ def check_purity(model: AdditiveModel, w: dict, tol: float = 1e-10) -> dict:
     _check_tol(tol)
     scale = _scale({u: e.values for u, e in model.effects.items()})
     tensors = []
-    for u in sorted(filter(None, model.effects), key=_cascade_order):
+    for u in [v for v in required_subsets(model) if v in model.effects]:
         T = model.effects[u].values
         W = _weights(w, u, T.shape)
         worst = _worst(_slice_sums(W * T), _slice_weights(_slice_sums(W)))

@@ -109,12 +109,14 @@ def gen_random_bench(sigma: float, p: int, weight_mode: str, seed: int):
     value of normal draws (densities must be nonnegative) and normalizes.
     Marginal tables are the sums of the joint, so the cascade stays consistent.
     """
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise DomainError(f"sigma must be finite and positive, not {sigma!r}")
     if p < 2:
         raise DomainError("dimension must be >= 2")
     if weight_mode not in ("uniform", "random"):
         raise DomainError(f"unknown weight mode {weight_mode!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, not {seed}")
     rng = np.random.default_rng(seed)
     values = rng.normal(0.0, sigma, size=(p, p))
     if weight_mode == "uniform":
@@ -127,6 +129,5 @@ def gen_random_bench(sigma: float, p: int, weight_mode: str, seed: int):
         ("x1", "x2"): joint,
         ("x1",): joint.sum(axis=1),
         ("x2",): joint.sum(axis=0),
-        (): np.asarray(1.0),
     }
     return model, w

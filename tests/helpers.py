@@ -16,6 +16,7 @@ import numpy as np
 from purefx import (AdditiveModel, ConvergenceReport, DegenerateSliceError,
                     DomainError, EffectTensor, FeatureBins, NonConvergenceError,
                     TreeEnsemble, TreeNode, predict, required_subsets)
+from purefx.model import canonical_order
 
 FEATURES = ("f1", "f2", "f3")
 LABELS = ("L0", "L1", "L2")
@@ -347,9 +348,10 @@ def with_categorical(rng, model):
 
 
 def random_density(rng, model, positive=True):
-    """Independent random weight tables for every subset the cascade touches."""
+    """Independent random weight tables for every subset the cascade touches,
+    and for ``()``, drawn in canonical order."""
     tables = {}
-    for u in required_subsets(model):
+    for u in sorted({(), *required_subsets(model)}, key=canonical_order):
         shape = tuple(model.bins[f].n_cells for f in u)
         t = np.abs(rng.normal(size=shape)) + (0.05 if positive else 0.0)
         tables[u] = t / t.sum()

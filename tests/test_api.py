@@ -84,6 +84,21 @@ def test_readme_cli_documents_every_flag():
     assert not missing, missing
 
 
+def test_every_open_in_the_package_names_utf8():
+    # Files are UTF-8 under any locale; only piped stdin follows it.
+    def utf8(call):
+        return any(k.arg == "encoding" and isinstance(k.value, ast.Constant)
+                   and k.value.value == "utf-8" for k in call.keywords)
+
+    opens = [(path.name, call.lineno, utf8(call))
+             for path in sorted(Path(purefx.__file__).parent.rglob("*.py"))
+             for call in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(call, ast.Call)
+             and getattr(call.func, "id", getattr(call.func, "attr", None)) == "open"]
+    assert len(opens) >= 3
+    assert all(ok for *_, ok in opens), opens
+
+
 def fresh_python(*argv, **env):
     """Run a new interpreter with OPENBLAS_NUM_THREADS unset unless given."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}

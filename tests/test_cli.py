@@ -652,6 +652,35 @@ def test_gen_mult_flag(tmp_path):
     assert res.returncode == 2
 
 
+def test_gen_mult_with_a_negative_first_value_takes_the_equals_form(capsys):
+    # After a space, argparse reads "-1,..." as a flag, not as --mult's value.
+    assert cli.main(["gen", "--mult=-1,1,1,1,0,0", "--grid", "4"]) == 0
+    assert model_from_json(capsys.readouterr().out).bins["x1"].n_cells == 4
+    assert cli.main(["gen", "--mult", "-1,1,1,1,0,0"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DomainError", "message": "argument --mult: expected one argument"}
+
+
+def test_files_are_read_and_written_as_utf8_under_any_locale(tmp_path):
+    # Under the C locale, without UTF-8 mode, open()'s default encoding is ASCII.
+    model = {"features": [{"name": "é", "kind": "categorical", "labels": ["a", "b"]}],
+             "effects": [{"vars": ["é"], "values": [1.0, -1.0]}]}
+    (tmp_path / "u.json").write_text(json.dumps(model, ensure_ascii=False),
+                                     encoding="utf-8")
+    (tmp_path / "u.csv").write_text("é\na\na\nb\n", encoding="utf-8")
+    traces = []
+    for locale in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+                   {"PYTHONUTF8": "1"}):
+        trace = tmp_path / "t.csv"
+        res = run_cli("purify", "--model", str(tmp_path / "u.json"), "--weights",
+                      "empirical", "--data", str(tmp_path / "u.csv"), "--trace",
+                      str(trace), env={**os.environ, **locale})
+        assert res.returncode == 0, res.stderr
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]
+    assert "\né,0," in traces[0].decode("utf-8")
+
+
 def test_cli_process_exits_without_interpreter_teardown():
     # atexit handlers run only in the interpreter's normal exit.
     code = ("import atexit, runpy, sys; atexit.register(print, 'atexit ran'); "

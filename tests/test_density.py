@@ -22,14 +22,23 @@ def boolean_rows(pairs):
 
 def test_required_subsets_of_pair_model():
     m = boolean_model()
-    assert required_subsets(m) == [(), ("x1",), ("x2",), ("x1", "x2")]
+    assert required_subsets(m) == [("x1", "x2"), ("x1",), ("x2",)]
+
+
+def test_required_subsets_of_triple_model_in_cascade_order():
+    bins = [FeatureBins(n, "continuous", edges=(0.5,)) for n in ("x1", "x2", "x3")]
+    m = AdditiveModel(bins, [EffectTensor(("x3",), np.zeros(2)),
+                             EffectTensor(("x1", "x2", "x3"), np.zeros((2, 2, 2)))])
+    assert required_subsets(m) == [
+        ("x1", "x2", "x3"), ("x1", "x2"), ("x1", "x3"), ("x2", "x3"),
+        ("x1",), ("x2",), ("x3",)]
 
 
 def test_uniform_is_quarter_per_cell():
     w = estimate_density(boolean_model(), "uniform")
     assert np.array_equal(w[("x1", "x2")], np.full((2, 2), 0.25))
     assert np.array_equal(w[("x1",)], np.array([0.5, 0.5]))
-    assert float(w[()]) == 1.0
+    assert () not in w
 
 
 def test_uniform_refuses_any_dataset():
@@ -78,6 +87,8 @@ def test_every_table_sums_to_one():
     for mode in ("uniform", "empirical", "laplace"):
         w = estimate_density(boolean_model(), mode,
                              None if mode == "uniform" else data)
+        # One table per subset the cascade sweeps, none for the intercept.
+        assert list(w) == [("x1", "x2"), ("x1",), ("x2",)]
         for u in w:
             assert w[u].sum() == pytest.approx(1.0)
             assert np.all(w[u] >= 0)
@@ -103,10 +114,10 @@ def test_single_values_count_as_one_row(mode):
 
 
 @pytest.mark.parametrize("mode", ["uniform", "empirical", "laplace"])
-def test_intercept_only_table_is_exactly_one(mode):
+def test_intercept_only_model_has_no_tables(mode):
     data = None if mode == "uniform" else {"x1": ["0.1", "0.9"]}
-    w = estimate_density(AdditiveModel([], []), mode, data)
-    assert w[()] == 1.0
+    model = AdditiveModel([], [EffectTensor((), np.asarray(2.0))])
+    assert estimate_density(model, mode, data) == {}
 
 
 def test_unknown_mode_rejected():

@@ -548,12 +548,26 @@ def test_purify_model_missing_weight_subset_errors_before_mutation():
     m = gen_boolean_fig1("a")
     w = {
         ("x1", "x2"): np.full((2, 2), 0.25),
-        ("x1",): np.array([0.5, 0.5]),
         ("x2",): np.array([0.5, 0.5]),
-        # intercept table missing
+        (): np.asarray(1.0),
     }
-    with pytest.raises(DomainError, match=re.escape("no weight table for subset ()")):
+    with pytest.raises(DomainError,
+                       match=re.escape("no weight table for subset ('x1',)")):
         purify_model(m, w)
+
+
+def test_purify_model_ignores_an_intercept_weight_table():
+    # No sweep or check reads a () table, so even one that sums to 7 is
+    # ignored like any other extra key.
+    rng = np.random.default_rng(29)
+    m = random_model(rng)
+    while len(m.bins) < 3:
+        m = random_model(rng)
+    w = _sparse_empirical_density(rng, m, 20)
+    out, reports = purify_model(m, w)
+    out7, reports7 = purify_model(m, {**w, (): np.asarray(7.0)})
+    assert model_to_json(out7) == model_to_json(out)
+    assert reports7 == reports
 
 
 def _pair_table(entries):

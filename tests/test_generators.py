@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,12 @@ def test_bench_random_mode_trace_decreases():
 def test_bench_argument_validation():
     with pytest.raises(DomainError):
         gen_random_bench(0.0, 10, "uniform", seed=0)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match=re.escape(
+                f"sigma must be finite and positive, not {sigma!r}")):
+            gen_random_bench(sigma, 10, "uniform", seed=0)
+    with pytest.raises(DomainError, match=re.escape("seed must be >= 0, not -1")):
+        gen_random_bench(1.0, 10, "uniform", seed=-1)
     with pytest.raises(DomainError):
         gen_random_bench(1.0, 1, "uniform", seed=0)
     with pytest.raises(DomainError):

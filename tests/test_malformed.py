@@ -253,6 +253,9 @@ BAD_ARGV = [
       for mult in ("1,2,3,4,5", "0,1,1,x,0,0", "nan,1,1,1,0,0")),
     (["gen", "--grid", "-1", "--fig1-row", "a"],
      "--grid applies only to --lambda and --mult"),
+    (["bench", "--seed", "-1"], "seed must be >= 0, not -1"),
+    *((["bench", "--sigma", sigma], f"sigma must be finite and positive, not {sigma}")
+      for sigma in ("nan", "inf")),
 ]
 
 
