@@ -17,8 +17,8 @@ class FeatureBins:
     Continuous features are partitioned into half-open cells
     ``(-inf, e_1), [e_1, e_2), ..., [e_k, +inf)`` by strictly increasing
     edges; a value equal to an edge falls in the upper cell (tree-split
-    semantics: ``x < t`` goes left).  Categorical features enumerate their
-    labels directly, in strictly increasing order.
+    semantics: ``x < t`` goes left).  Categorical features have labels
+    instead, strictly increasing; neither kind takes the other's field.
     """
 
     feature_name: str
@@ -32,6 +32,10 @@ class FeatureBins:
                 f"a feature name is a string, not {self.feature_name!r}")
         if self.kind not in ("continuous", "categorical"):
             raise DomainError(f"unknown bins kind {self.kind!r}")
+        other = "labels" if self.kind == "continuous" else "edges"
+        if getattr(self, other):
+            raise DomainError(f"feature {self.feature_name!r}: "
+                              f"{self.kind} bins take no {other}")
         if self.kind == "continuous":
             if not self.edges:
                 raise DomainError(

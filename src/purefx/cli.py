@@ -63,15 +63,16 @@ def _build_density(model, args):
     return estimate_density(model, args.weights, data)
 
 
-def _trace_csv(reports) -> str:
+def _csv(header, rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["tensor_vars", "iteration", "mass"])
-    for u in reports:
-        name = ";".join(u)
-        for it, mass in reports[u].trace:
-            writer.writerow([name, it, repr(mass)])
+    csv.writer(buf).writerows([header, *rows])
     return buf.getvalue()
+
+
+def _trace_csv(reports) -> str:
+    return _csv(["tensor_vars", "iteration", "mass"],
+                ([";".join(u), it, repr(mass)]
+                 for u in reports for it, mass in reports[u].trace))
 
 
 def _cmd_purify(args):
@@ -131,8 +132,7 @@ def _cmd_density(args):
 def _cmd_predict(args):
     model = _load_model(args)
     values = predict(model, dataset_from_csv(args.data))
-    # The bytes csv.writer gives: no float repr needs quoting.
-    _write("\r\n".join(["prediction", *map(repr, values.tolist()), ""]), args.out)
+    _write(_csv(["prediction"], zip(values.tolist())), args.out)
     return EXIT_OK
 
 

@@ -63,11 +63,12 @@ def dataset_from_csv(path) -> dict[str, tuple[str, ...]]:
     """Header row of feature names, then one row of values per data point.
 
     Feature names must be distinct, and every row must have as many fields
-    as the header; blank lines are skipped.  Cells stay strings until binning
-    parses them.  A line the csv module cannot read, such as one with a field
-    over its size limit, raises a ``DomainError`` naming that line.
+    as the header; blank lines and a leading UTF-8 byte-order mark are
+    skipped.  Cells stay strings until binning parses them.  A line the csv
+    module cannot read, such as one over its field size limit, raises a
+    ``DomainError`` naming it.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(filter(None, reader), None)

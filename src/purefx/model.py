@@ -134,18 +134,12 @@ def _dumps(doc) -> str:
 
 
 def _json_array(a: np.ndarray) -> str:
-    """``_dumps(a.tolist())`` for a nonempty float array.
+    """``_dumps(a.tolist())`` for a nonempty array of finite floats.
 
-    A piecewise-constant tensor repeats few distinct values, and then each
-    is formatted once.  Values are told apart by their bits, so ``-0.0`` and
-    ``0.0`` keep their own text.  Where most values are distinct, json's own
-    encoder is faster than a gather, and it formats every cell.
+    Each distinct value is formatted once and copied to its cells.  Values
+    are told apart by their bits, so ``-0.0`` and ``0.0`` keep their own text.
     """
-    bits = a.ravel().view(np.int64)
-    ordered = np.sort(bits)
-    if 2 * np.count_nonzero(ordered[1:] != ordered[:-1]) >= bits.size:
-        return _dumps(a.tolist())
-    distinct, inverse = np.unique(bits, return_inverse=True)
+    distinct, inverse = np.unique(a.ravel().view(np.int64), return_inverse=True)
     text = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())),
                     dtype=object)
     parts = text[inverse].tolist()

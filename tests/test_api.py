@@ -2,6 +2,7 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import shlex
@@ -85,18 +86,24 @@ def test_readme_cli_documents_every_flag():
 
 
 def test_every_open_in_the_package_names_utf8():
-    # Files are UTF-8 under any locale; only piped stdin follows it.
-    def utf8(call):
-        return any(k.arg == "encoding" and isinstance(k.value, ast.Constant)
-                   and k.value.value == "utf-8" for k in call.keywords)
+    # Files are UTF-8 under any locale; only piped stdin follows it.  The CSV
+    # reader's "utf-8-sig" also drops the byte-order mark spreadsheets write.
+    def encoding(call):
+        return next((k.value.value for k in call.keywords if k.arg == "encoding"
+                     and isinstance(k.value, ast.Constant)), None)
 
-    opens = [(path.name, call.lineno, utf8(call))
+    lines, start = inspect.getsourcelines(purefx.density.dataset_from_csv)
+    reader_file = Path(purefx.density.__file__)
+    reader_lines = range(start, start + len(lines))
+    opens = [(path, call.lineno, encoding(call))
              for path in sorted(Path(purefx.__file__).parent.rglob("*.py"))
              for call in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(call, ast.Call)
              and getattr(call.func, "id", getattr(call.func, "attr", None)) == "open"]
-    assert len(opens) >= 3
-    assert all(ok for *_, ok in opens), opens
+    want = ["utf-8-sig" if path == reader_file and line in reader_lines
+            else "utf-8" for path, line, _ in opens]
+    assert len(opens) >= 3 and want.count("utf-8-sig") == 1
+    assert [enc for *_, enc in opens] == want, opens
 
 
 def fresh_python(*argv, **env):

@@ -48,6 +48,17 @@ def test_edges_must_increase():
         FeatureBins("x", "continuous", edges=(2.0, 1.0))
 
 
+def test_each_kind_refuses_the_other_kinds_field():
+    # model_to_json writes only a kind's own field, so another would not
+    # survive a round trip.
+    with pytest.raises(DomainError) as exc:
+        FeatureBins("x", "continuous", edges=(0.5,), labels=("a", "b"))
+    assert str(exc.value) == "feature 'x': continuous bins take no labels"
+    with pytest.raises(DomainError) as exc:
+        FeatureBins("c", "categorical", edges=(0.5,), labels=("a", "b"))
+    assert str(exc.value) == "feature 'c': categorical bins take no edges"
+
+
 def test_edges_must_be_finite():
     with pytest.raises(DomainError):
         FeatureBins("x", "continuous", edges=(0.0, float("inf")))

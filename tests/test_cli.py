@@ -219,6 +219,27 @@ def test_intercept_only_predict_on_header_only_and_blank_csv(tmp_path, capsys):
         "error": "DomainError", "message": f"{data}: empty CSV"}
 
 
+def test_csv_with_byte_order_mark_reads_as_without(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a BOM, before the first name.
+    model = gen_boolean_fig1("a")
+    src = tmp_path / "a.json"
+    src.write_text(model_to_json(model))
+    text = "x1,x2\n0.1,0.9\n0.8,0.2\n0.7,0.6\n"
+    runs = []
+    for name, encoding in (("plain.csv", "utf-8"), ("bom.csv", "utf-8-sig")):
+        data, out = tmp_path / name, tmp_path / f"pred-{name}"
+        data.write_text(text, encoding=encoding)
+        w = estimate_density(model, "empirical", dataset_from_csv(data))
+        assert cli.main(["predict", "--model", str(src), "--data", str(data),
+                         "--out", str(out)]) == 0
+        runs.append((w, out.read_bytes()))
+    (w_plain, pred_plain), (w_bom, pred_bom) = runs
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbfx1,")
+    assert w_bom.keys() == w_plain.keys()
+    assert all(np.array_equal(w_bom[u], w_plain[u]) for u in w_plain)
+    assert pred_bom == pred_plain == b"prediction\r\n0.25\r\n0.25\r\n-0.25\r\n"
+
+
 def test_repeated_csv_header_name_exits_2(tmp_path):
     src = tmp_path / "a.json"
     src.write_text(model_to_json(gen_boolean_fig1("a")))
