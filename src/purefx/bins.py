@@ -75,9 +75,9 @@ def bin_index(bins: FeatureBins, values):
 
     A single value gives a 0-d result.  Continuous values may be numbers or
     decimal strings, parsed as by ``float()``; categorical values are labels.
-    A blank, unparseable or non-finite value, or an unknown label, raises a
-    ``DomainError`` naming the feature and the row (the flat position in
-    ``values``).
+    A blank, unparseable or non-finite value, an integer too large for a
+    float, or an unknown label, raises a ``DomainError`` naming the feature
+    and the row (the flat position in ``values``).
     """
     if bins.kind == "categorical":
         col = np.asarray(values, dtype=object)
@@ -92,7 +92,7 @@ def bin_index(bins: FeatureBins, values):
         return cells.reshape(col.shape)[()]
     try:
         x = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         _raise_for_first_unparseable(bins, values)
         raise
     bad = np.flatnonzero(~np.isfinite(x))
@@ -113,6 +113,8 @@ def _raise_for_first_unparseable(bins: FeatureBins, values):
             raise _value_error(bins, row, "blank value")
         try:
             float(v)
+        except OverflowError:  # an integer beyond a float's range
+            raise _value_error(bins, row, "value too large for a float") from None
         except (TypeError, ValueError):
             raise _value_error(bins, row,
                                f"cannot parse {v!r} as a number") from None

@@ -1,14 +1,15 @@
 """Command-line surface: purify, check, gen, bench, density, predict.
 
-Model JSON goes to stdout when --out is omitted so subcommands can be piped;
-diagnostics and machine-readable errors go to stderr.  Outputs are
-byte-deterministic for fixed inputs, flags, and seeds.
+Each command returns its document, which ``main`` writes to --out or, if that
+is omitted or '-', to stdout so subcommands pipe; diagnostics and errors go to
+stderr.  Outputs are byte-deterministic for fixed inputs, flags, and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -19,7 +20,7 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .density import MODES, dataset_from_csv, density_to_json, estimate_density
-from .engine import MAX_PASSES, check_purity, purify_model
+from .engine import CHECK_TOL, MAX_PASSES, PURIFY_TOL, check_purity, purify_model
 from .errors import DegenerateSliceError, DomainError, NonConvergenceError
 from .model import dumps_canonical, model_from_json, model_to_json, predict
 from .trees import ensemble_from_json, ingest_ensemble
@@ -37,17 +38,24 @@ def _fail(exc, code):
     return code
 
 
-def _write(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _std(name):
+    stream = getattr(sys, name)
+    if stream is None:  # its descriptor was closed at start
+        raise OSError(errno.EBADF, f"{name} is closed")
+    return stream
+
+
+def _write(text: str, path):
+    if path is None or path == "-":
+        _std("stdout").write(text)
     else:
-        sys.stdout.write(text)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _read_text(path):
     if path is None or path == "-":
-        return sys.stdin.read()
+        return _std("stdin").read()
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 
@@ -80,19 +88,18 @@ def _cmd_purify(args):
     w = _build_density(model, args)
     purified, reports = purify_model(
         model, w, tol=args.tol, max_passes=args.max_passes, strict=args.strict)
-    _write(model_to_json(purified), args.out)
+    text = model_to_json(purified)
     if args.trace:
         _write(_trace_csv(reports), args.trace)
     if args.report:
         _write(dumps_canonical(check_purity(purified, w)), args.report)
-    return EXIT_OK
+    return text
 
 
 def _cmd_check(args):
     model = _load_model(args)
     w = _build_density(model, args)
-    _write(dumps_canonical(check_purity(model, w, tol=args.tol)), args.out)
-    return EXIT_OK
+    return dumps_canonical(check_purity(model, w, tol=args.tol))
 
 
 def _cmd_gen(args):
@@ -110,30 +117,25 @@ def _cmd_gen(args):
         model = gen_boolean_fig1(args.fig1_row)
     else:
         model = gen_wright(args.wright)
-    _write(model_to_json(model), args.out)
-    return EXIT_OK
+    return model_to_json(model)
 
 
 def _cmd_bench(args):
     from .generators import gen_random_bench
     model, w = gen_random_bench(args.sigma, args.dims, args.weights, args.seed)
     _, reports = purify_model(model, w, tol=args.tol, max_passes=args.max_passes)
-    _write(_trace_csv({("x1", "x2"): reports[("x1", "x2")]}), args.out)
-    return EXIT_OK
+    return _trace_csv({("x1", "x2"): reports[("x1", "x2")]})
 
 
 def _cmd_density(args):
     model = _load_model(args)
-    w = _build_density(model, args)
-    _write(density_to_json(w), args.out)
-    return EXIT_OK
+    return density_to_json(_build_density(model, args))
 
 
 def _cmd_predict(args):
     model = _load_model(args)
     values = predict(model, dataset_from_csv(args.data))
-    _write(_csv(["prediction"], zip(values.tolist())), args.out)
-    return EXIT_OK
+    return _csv(["prediction"], zip(values.tolist()))
 
 
 def _model_flags(p):
@@ -175,11 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("purify", help="purify a model and write its canonical form")
     _model_flags(p)
     _weight_flags(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=PURIFY_TOL)
     p.add_argument("--max-passes", type=int, default=MAX_PASSES)
     p.add_argument("--strict", action="store_true",
                    help="fail on zero-weight slices instead of skipping them")
-    p.add_argument("--out", help="purified model JSON (stdout if omitted)")
     p.add_argument("--report", help="purity report JSON path")
     p.add_argument("--trace", help="convergence trace CSV path")
     p.set_defaults(func=_cmd_purify)
@@ -187,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="report the worst weighted slice mean")
     _model_flags(p)
     _weight_flags(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out")
+    p.add_argument("--tol", type=float, default=CHECK_TOL)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gen", help="emit a synthetic model as JSON")
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a,b,c,d,alpha,beta for the product model")
     p.add_argument("--grid", type=int,
                    help="cells per axis of --lambda and --mult (default 64)")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="random-matrix convergence benchmark")
@@ -209,30 +208,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=100)
     p.add_argument("--weights", default="uniform", choices=["uniform", "random"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=PURIFY_TOL)
     p.add_argument("--max-passes", type=int, default=MAX_PASSES)
-    p.add_argument("--out", help="mass trace CSV (stdout if omitted)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("density", help="estimate and export cell weights")
     _model_flags(p)
     _weight_flags(p)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("predict", help="evaluate a model on CSV rows")
     _model_flags(p)
     p.add_argument("--data", required=True, help="input CSV of feature values")
-    p.add_argument("--out", help="predictions CSV (stdout if omitted)")
     p.set_defaults(func=_cmd_predict)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output path (stdout if omitted or '-')")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        _write(args.func(args), args.out)
+        return EXIT_OK
     except NonConvergenceError as exc:
         return _fail(exc, EXIT_NONCONVERGENCE)
     except DegenerateSliceError as exc:

@@ -45,6 +45,8 @@ from .errors import DegenerateSliceError, DomainError, NonConvergenceError
 from .model import AdditiveModel, EffectTensor, Subset
 
 MAX_PASSES = 10_000  # default sweep budget per tensor
+PURIFY_TOL = 1e-12  # default tol of the sweep's stop
+CHECK_TOL = 1e-10  # default tol of check_purity
 
 
 @dataclass
@@ -320,7 +322,7 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be finite and >= 0, not {tol!r}")
 
 
-def purify_model(model: AdditiveModel, w: dict, tol: float = 1e-12,
+def purify_model(model: AdditiveModel, w: dict, tol: float = PURIFY_TOL,
                  max_passes: int = MAX_PASSES, strict: bool = False):
     """Purify every tensor of the model; returns (model, reports).
 
@@ -360,7 +362,7 @@ def purify_model(model: AdditiveModel, w: dict, tol: float = 1e-12,
                          map(EffectTensor, tensors, tensors.values())), reports
 
 
-def check_purity(model: AdditiveModel, w: dict, tol: float = 1e-10) -> dict:
+def check_purity(model: AdditiveModel, w: dict, tol: float = CHECK_TOL) -> dict:
     """Report the worst absolute weighted slice mean of every non-intercept tensor.
 
     Returns the dict that ``purefx check`` and ``purify --report`` write:

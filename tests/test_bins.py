@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from purefx import DomainError, FeatureBins, bin_index
+from purefx import (DomainError, FeatureBins, bin_index, estimate_density,
+                    gen_boolean_fig1, predict)
 
 from helpers import representative
 
@@ -39,6 +40,22 @@ def test_non_finite_value_names_feature_and_row():
     for bad in ("nan", "inf", float("-inf")):
         with pytest.raises(DomainError, match="'x', row 2: non-finite"):
             bin_index(b, ["0.1", 0.7, bad])
+
+
+def test_integer_too_large_for_a_float_names_feature_and_row():
+    # A CSV never holds one: float("1e400") is inf, refused as non-finite.
+    b = FeatureBins("x1", "continuous", edges=(0.5,))
+    m = gen_boolean_fig1("a")
+    for call, row in ((lambda: bin_index(b, 10 ** 400), 0),
+                      (lambda: bin_index(b, [0.1, 10 ** 400]), 1),
+                      (lambda: predict(m, {"x1": [0.1, 10 ** 400],
+                                           "x2": [0.2, 0.3]}), 1),
+                      (lambda: estimate_density(m, "empirical", {
+                          "x1": [10 ** 400], "x2": [0.1]}), 0)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == (
+            f"feature 'x1', row {row}: value too large for a float")
 
 
 def test_edges_must_increase():

@@ -1,4 +1,6 @@
 import csv
+import errno
+import inspect
 import io
 import json
 import os
@@ -9,10 +11,10 @@ import numpy as np
 import pytest
 
 from purefx import (AdditiveModel, EffectTensor, FeatureBins, TreeEnsemble,
-                    TreeNode, dataset_from_csv, estimate_density,
+                    TreeNode, check_purity, dataset_from_csv, estimate_density,
                     gen_boolean_fig1, gen_log_lambda, gen_random_bench,
                     model_from_json, model_to_json, purify_model)
-from purefx import cli
+from purefx import cli, engine
 
 from helpers import ensemble_to_json
 
@@ -739,3 +741,48 @@ def test_stdout_on_a_full_device_exits_nonzero():
             [sys.executable, "-m", "purefx.cli", "gen", "--fig1-row", "a"],
             stdout=full, stderr=subprocess.PIPE, env=BUFFERED_ENV)
     assert res.returncode != 0
+
+
+COUNTED = ["--model", "a.json", "--weights", "empirical", "--data", "d.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["purify", *COUNTED], ["check", "--model", "a.json"],
+    ["gen", "--fig1-row", "a"], ["bench", "--dims", "5"],
+    ["density", *COUNTED], ["predict", "--model", "a.json", "--data", "d.csv"]],
+    ids=lambda argv: argv[0])
+def test_every_command_writes_the_same_bytes_to_out_or_stdout(
+        tmp_path, monkeypatch, capsys, argv):
+    # `--out -` names stdout, as `--model -` names stdin: it makes no file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text(model_to_json(gen_boolean_fig1("a")))
+    (tmp_path / "d.csv").write_text("x1,x2\n0,0\n1,1\n1,0\n")
+    printed = []
+    for out in ([], ["--out", "-"], ["--out", "doc"]):
+        assert cli.main([*argv, *out]) == 0
+        printed.append(capsys.readouterr().out)
+    assert not (tmp_path / "-").exists()
+    assert printed[0] and printed[1] == printed[0] and printed[2] == ""
+    assert (tmp_path / "doc").read_bytes() == printed[0].encode()
+
+
+@pytest.mark.parametrize("fd, argv, name", [
+    (1, ["gen", "--fig1-row", "a"], "stdout"), (0, ["purify"], "stdin")])
+def test_closed_standard_stream_exits_1_as_one_json_line(fd, argv, name):
+    # A descriptor closed at start leaves its sys stream None.
+    res = subprocess.run([sys.executable, "-m", "purefx.cli", *argv],
+                         stdin=subprocess.DEVNULL, capture_output=True,
+                         text=True, preexec_fn=lambda: os.close(fd))
+    assert res.returncode == 1
+    assert res.stderr.count("\n") == 1
+    assert json.loads(res.stderr) == {
+        "error": "OSError", "message": f"[Errno {errno.EBADF}] {name} is closed"}
+
+
+def test_cli_takes_its_tolerance_defaults_from_the_engine():
+    parse = cli.build_parser().parse_args
+    tol = {f: inspect.signature(f).parameters["tol"].default
+           for f in (purify_model, check_purity)}
+    assert parse(["purify"]).tol == parse(["bench"]).tol == engine.PURIFY_TOL
+    assert parse(["check"]).tol == engine.CHECK_TOL
+    assert tol == {purify_model: engine.PURIFY_TOL, check_purity: engine.CHECK_TOL}
