@@ -18,8 +18,7 @@ _SUBMODULE = {
     **dict.fromkeys(("dataset_from_csv", "density_to_json",
                      "estimate_density"), "density"),
     **dict.fromkeys(("ConvergenceReport", "check_purity", "effect_variance",
-                     "purify_model", "required_subsets", "unpurified_mass"),
-                    "engine"),
+                     "purify_model", "required_subsets"), "engine"),
     **dict.fromkeys(("DegenerateSliceError", "DomainError",
                      "NonConvergenceError"), "errors"),
     **dict.fromkeys(("gen_boolean_fig1", "gen_log_lambda", "gen_multiplicative",

@@ -89,9 +89,9 @@ def _cmd_purify(args):
     purified, reports = purify_model(
         model, w, tol=args.tol, max_passes=args.max_passes, strict=args.strict)
     text = model_to_json(purified)
-    if args.trace:
+    if args.trace is not None:
         _write(_trace_csv(reports), args.trace)
-    if args.report:
+    if args.report is not None:
         _write(dumps_canonical(check_purity(purified, w)), args.report)
     return text
 
@@ -123,7 +123,7 @@ def _cmd_gen(args):
 def _cmd_bench(args):
     from .generators import gen_random_bench
     model, w = gen_random_bench(args.sigma, args.dims, args.weights, args.seed)
-    _, reports = purify_model(model, w, tol=args.tol, max_passes=args.max_passes)
+    _, reports = purify_model(model, w)
     return _trace_csv({("x1", "x2"): reports[("x1", "x2")]})
 
 
@@ -208,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=100)
     p.add_argument("--weights", default="uniform", choices=["uniform", "random"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=PURIFY_TOL)
-    p.add_argument("--max-passes", type=int, default=MAX_PASSES)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("density", help="estimate and export cell weights")

@@ -130,11 +130,6 @@ def _weights(w: dict, u: Subset, shape: tuple[int, ...]) -> np.ndarray:
     return W
 
 
-def unpurified_mass(tensor: EffectTensor, w: dict) -> float:
-    wt = _weights(w, tensor.vars, tensor.values.shape)
-    return _mass(_slice_sums(wt * tensor.values), _slice_weights(_slice_sums(wt)))
-
-
 def effect_variance(tensor: EffectTensor, w: dict) -> float:
     """Weighted variance of a tensor under the density's table for its subset."""
     wt = _weights(w, tensor.vars, tensor.values.shape)
@@ -349,7 +344,7 @@ def purify_model(model: AdditiveModel, w: dict, tol: float = PURIFY_TOL,
                 raise DegenerateSliceError(
                     f"zero-weight slice of {u} along {u[axis]!r}")
 
-    tensors = {u: np.array(e.values, dtype=float) for u, e in model.effects.items()}
+    tensors = {u: e.values for u, e in model.effects.items()}
     scale = _scale(tensors)
     reports: dict[Subset, ConvergenceReport] = {}
     for u, W in tables.items():

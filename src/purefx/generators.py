@@ -111,8 +111,7 @@ def gen_random_bench(sigma: float, p: int, weight_mode: str, seed: int):
     """
     if not (np.isfinite(sigma) and sigma > 0):
         raise DomainError(f"sigma must be finite and positive, not {sigma!r}")
-    if p < 2:
-        raise DomainError("dimension must be >= 2")
+    bins = _unit_grid(p)
     if weight_mode not in ("uniform", "random"):
         raise DomainError(f"unknown weight mode {weight_mode!r}")
     if seed < 0:
@@ -124,7 +123,7 @@ def gen_random_bench(sigma: float, p: int, weight_mode: str, seed: int):
     else:
         joint = np.abs(rng.normal(0.0, sigma, size=(p, p)))
         joint /= joint.sum()
-    model = _pair_model(_unit_grid(p), 0.0, np.zeros(p), np.zeros(p), values)
+    model = _pair_model(bins, 0.0, np.zeros(p), np.zeros(p), values)
     w = {
         ("x1", "x2"): joint,
         ("x1",): joint.sum(axis=1),

@@ -766,6 +766,20 @@ def test_every_command_writes_the_same_bytes_to_out_or_stdout(
     assert (tmp_path / "doc").read_bytes() == printed[0].encode()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--trace", "--report"])
+def test_purify_to_an_empty_path_exits_1_as_one_json_line(
+        tmp_path, monkeypatch, capsys, flag):
+    # An empty path names no file, whichever of purify's outputs it is.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text(model_to_json(gen_boolean_fig1("a")))
+    assert cli.main(["purify", "--model", "a.json", flag, ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "FileNotFoundError",
+        "message": f"[Errno {errno.ENOENT}] No such file or directory: ''"}
+
+
 @pytest.mark.parametrize("fd, argv, name", [
     (1, ["gen", "--fig1-row", "a"], "stdout"), (0, ["purify"], "stdin")])
 def test_closed_standard_stream_exits_1_as_one_json_line(fd, argv, name):
@@ -783,6 +797,6 @@ def test_cli_takes_its_tolerance_defaults_from_the_engine():
     parse = cli.build_parser().parse_args
     tol = {f: inspect.signature(f).parameters["tol"].default
            for f in (purify_model, check_purity)}
-    assert parse(["purify"]).tol == parse(["bench"]).tol == engine.PURIFY_TOL
+    assert parse(["purify"]).tol == engine.PURIFY_TOL
     assert parse(["check"]).tol == engine.CHECK_TOL
     assert tol == {purify_model: engine.PURIFY_TOL, check_purity: engine.CHECK_TOL}

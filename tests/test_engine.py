@@ -9,13 +9,14 @@ from purefx import (AdditiveModel, DegenerateSliceError, DomainError,
                     EffectTensor, FeatureBins, NonConvergenceError,
                     check_purity, effect_variance, estimate_density,
                     gen_boolean_fig1, gen_random_bench, model_to_json,
-                    purify_model, unpurified_mass)
+                    purify_model)
 from purefx.engine import _Anderson, _purify_subset
 
 from helpers import (add_deposits, grid_predictions, oracle_fixed_point,
                      oracle_matrix_mass, oracle_purify_model,
-                     oracle_purify_subset, oracle_slice_means, random_density,
-                     random_model, uniform_density, with_categorical)
+                     oracle_purify_subset, oracle_slice_means,
+                     oracle_slice_stats, random_density, random_model,
+                     uniform_density, with_categorical)
 
 
 def boolean_uniform_density():
@@ -382,7 +383,7 @@ def test_mixing_cuts_the_passes_on_sparse_cubes():
         assert reports[u].passes - start <= (plain.passes - start) / 3
         # A mixed pass's last trace row is the mass after the mixing, so the
         # final mass is the returned tensor's, up to the running sums' drift.
-        mass = unpurified_mass(out.effects[u], w)
+        mass = _oracle_mass(out.effects[u].values, w[u])
         assert abs(reports[u].trace[-1][1] - mass) <= 0.05 * mass
 
 
@@ -444,21 +445,28 @@ def test_strict_refuses_a_lower_order_table_before_any_sweep(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# unpurified_mass
+# The trace's mass
 # --------------------------------------------------------------------------
+
+def _oracle_mass(T, W):
+    """The loop oracle's trace mass of ``T`` under the weight table ``W``."""
+    W = np.asarray(W)
+    return oracle_slice_stats(T, W, [W.sum(axis=a) for a in range(W.ndim)])[0]
+
 
 def test_mass_fig1a_interaction_matches_loop_oracle():
     m = gen_boolean_fig1("a")
     w = boolean_uniform_density()
-    t = m.effects[("x1", "x2")]
-    expected = oracle_matrix_mass(t.values, np.full((2, 2), 0.25))
+    pair = ("x1", "x2")
+    expected = oracle_matrix_mass(m.effects[pair].values, np.full((2, 2), 0.25))
     assert expected == pytest.approx(0.25)
-    assert unpurified_mass(t, w) == pytest.approx(expected)
+    _, reports = purify_model(m, w)
+    assert reports[pair].trace[0][1] == pytest.approx(expected)
 
 
 def test_trace_starts_at_the_unpurified_mass():
-    # The sweep's iteration-0 mass and unpurified_mass share one definition,
-    # so they agree exactly on every effect that receives no deposits.
+    # Iteration 0 is the mass of the tensor as its sweep starts, which is
+    # the model's own tensor wherever the sweep deposits nothing.
     rng = np.random.default_rng(67)
     checked = 0
     for case in range(20):
@@ -471,7 +479,8 @@ def test_trace_starts_at_the_unpurified_mass():
         top = max(map(len, m.effects))
         for u, e in m.effects.items():
             if u and len(u) == top:
-                assert reports[u].trace[0][1] == unpurified_mass(e, w), u
+                assert reports[u].trace[0][1] == pytest.approx(
+                    _oracle_mass(e.values, w[u]), rel=1e-12), u
                 checked += 1
     assert checked >= 10
 
@@ -480,13 +489,15 @@ def test_mass_of_purified_tensor_is_zero():
     m = gen_boolean_fig1("a")
     w = boolean_uniform_density()
     out, _ = purify_model(m, w)
-    assert unpurified_mass(out.effects[("x1", "x2")], w) <= 1e-12
+    pair = ("x1", "x2")
+    assert _oracle_mass(out.effects[pair].values, w[pair]) <= 1e-12
 
 
 def test_mass_of_zero_tensor_is_zero():
-    t = EffectTensor(("x1", "x2"), np.zeros((2, 2)))
-    w = boolean_uniform_density()
-    assert unpurified_mass(t, w) == 0.0
+    zero = AdditiveModel(gen_boolean_fig1("a").bins.values(),
+                         [EffectTensor(("x1", "x2"), np.zeros((2, 2)))])
+    _, reports = purify_model(zero, boolean_uniform_density())
+    assert reports[("x1", "x2")].trace[0][1] == 0.0
 
 
 def test_mass_random_matches_loop_oracle():
@@ -496,9 +507,13 @@ def test_mass_random_matches_loop_oracle():
         vals = rng.normal(size=shape)
         joint = np.abs(rng.normal(size=shape)) + 0.01
         joint /= joint.sum()
-        t = EffectTensor(("a", "b"), vals)
-        w = {("a", "b"): joint}
-        assert unpurified_mass(t, w) == pytest.approx(
+        bins = [FeatureBins(f, "continuous", edges=tuple(map(float, range(1, n))))
+                for f, n in zip("ab", shape)]
+        m = AdditiveModel(bins, [EffectTensor(("a", "b"), vals)])
+        w = {("a", "b"): joint, ("a",): joint.sum(axis=1),
+             ("b",): joint.sum(axis=0)}
+        _, reports = purify_model(m, w)
+        assert reports[("a", "b")].trace[0][1] == pytest.approx(
             oracle_matrix_mass(vals, joint), rel=1e-12)
 
 
@@ -531,9 +546,8 @@ def test_purify_model_intercept_only_unchanged():
 _READERS = pytest.mark.parametrize("call", [
     purify_model,
     check_purity,
-    lambda m, w: unpurified_mass(m.effects[("x1", "x2")], w),
     lambda m, w: effect_variance(m.effects[("x1", "x2")], w),
-], ids=["purify_model", "check_purity", "unpurified_mass", "effect_variance"])
+], ids=["purify_model", "check_purity", "effect_variance"])
 
 
 @_READERS

@@ -239,6 +239,8 @@ BAD_ARGV = [
     (["check", "--tol", "abc"], None),
     (["purify", "--max-passes", "1.5"], None),
     (["bench", "--dims", "x"], None),
+    (["bench", "--tol", "1e-9"], None),
+    (["bench", "--max-passes", "5"], None),
     (["purify", "--weights", "kernel"], None),
     (["predict", "--model", "-"], None),
     ([], None),
@@ -254,6 +256,7 @@ BAD_ARGV = [
     (["gen", "--grid", "-1", "--fig1-row", "a"],
      "--grid applies only to --lambda and --mult"),
     (["bench", "--seed", "-1"], "seed must be >= 0, not -1"),
+    (["bench", "--dims", "1"], "grid size must be >= 2"),
     *((["bench", "--sigma", sigma], f"sigma must be finite and positive, not {sigma}")
       for sigma in ("nan", "inf")),
 ]
