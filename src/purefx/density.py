@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
@@ -59,22 +60,32 @@ def estimate_density(model: AdditiveModel, mode: str = "uniform",
 # File I/O
 # --------------------------------------------------------------------------
 
-def dataset_from_csv(path) -> dict[str, tuple[str, ...]]:
+def dataset_from_csv(path, model: AdditiveModel | None = None
+                     ) -> dict[str, tuple[str, ...] | np.ndarray]:
     """Header row of feature names, then one row of values per data point.
 
     Feature names must be distinct, and every row must have as many fields
     as the header; blank lines and a leading UTF-8 byte-order mark are
-    skipped.  Cells stay strings until binning parses them.  A line the csv
+    skipped.  Cells come back as strings, which binning parses.  Given the
+    ``model`` the data is for, numpy's C reader parses the file instead when
+    no header name is one of its categorical features and every cell is a
+    plain finite number; each column is then a float64 array of the values
+    ``float()`` gives, so binning gives the same cells.  A line the csv
     module cannot read, such as one over its field size limit, raises a
     ``DomainError`` naming it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(filter(None, reader), None)
-            rows = [r for r in reader if r]
-        except csv.Error as exc:
-            raise DomainError(f"{path}, line {reader.line_num}: {exc}") from None
+        text = fh.read()
+    if model is not None:
+        columns = _float_columns(text, model)
+        if columns is not None:
+            return columns
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(filter(None, reader), None)
+        rows = [r for r in reader if r]
+    except csv.Error as exc:
+        raise DomainError(f"{path}, line {reader.line_num}: {exc}") from None
     if header is None:
         raise DomainError(f"{path}: empty CSV")
     for i, name in enumerate(header):
@@ -87,6 +98,37 @@ def dataset_from_csv(path) -> dict[str, tuple[str, ...]]:
                 f"the header has {len(header)}")
     columns = list(zip(*rows)) or [()] * len(header)
     return dict(zip(header, columns))
+
+
+def _float_columns(text: str, model: AdditiveModel) -> dict | None:
+    """The columns of ``text`` as float64 arrays, or None wherever the csv
+    module must decide: a header it refuses, a repeated or categorical
+    feature name, no rows, a line over its field size limit, one of the
+    separators \\x1c-\\x1f, or a body numpy cannot parse into one finite
+    column per name."""
+    stream = io.StringIO(text, newline="")
+    try:
+        header = next(filter(None, csv.reader(stream)), None)
+    except csv.Error:
+        return None
+    body = text[stream.tell():]
+    # The csv module's lines: it ends one at "\r", "\n" or "\r\n" (the empty
+    # line this makes inside "\r\n" is skipped, as blank lines are).
+    lines = body.replace("\r", "\n").split("\n")
+    categorical = {n for n, b in model.bins.items() if b.kind == "categorical"}
+    if (header is None or len(set(header)) < len(header)
+            or not categorical.isdisjoint(header) or not any(lines)
+            or max(map(len, lines)) > csv.field_size_limit()
+            # numpy strips these separators from around a number; float() does not
+            or any(c in body for c in "\x1c\x1d\x1e\x1f")):
+        return None
+    try:
+        x = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, dtype=float)
+    except ValueError:
+        return None
+    if x.shape[1] != len(header) or not np.isfinite(x).all():
+        return None
+    return dict(zip(header, x.T))
 
 
 def density_to_json(w: dict[Subset, np.ndarray]) -> str:

@@ -434,6 +434,25 @@ def test_malformed_model_json_exits_2(doc, message):
     assert err["message"].startswith(message)
 
 
+@pytest.mark.parametrize("vars, values, code", [
+    (["x1"], [0.5, True], 2),
+    (["c", "x1"], [[1.0, False]], 2),
+    (["x1"], [1.0, 0.0], 0),
+])
+def test_a_boolean_beside_numbers_exits_2(tmp_path, capsys, vars, values, code):
+    # numpy reads true as 1 and false as 0, so only a tensor holding a 0 or
+    # a 1 is searched for booleans; a 0.0 or a 1.0 alone is no boolean.
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({
+        "features": [{"name": "c", "kind": "categorical", "labels": ["a"]},
+                     FEATURE],
+        "effects": [{"vars": vars, "values": values}]}))
+    assert cli.main(["check", "--model", str(src)]) == code
+    if code:
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DomainError", "message": "effect 0: values must be numbers"}
+
+
 @pytest.mark.parametrize("flag, doc, message", [
     ("--ensemble", {"trees": [SPLIT, {**SPLIT, "split": 5}]},
      "tree 1: a split feature is a string, not 5"),
@@ -546,11 +565,13 @@ def test_model_with_ensemble_exits_2(tmp_path, command):
 
 
 def test_overlong_csv_field_exits_2_naming_its_line(tmp_path, capsys):
-    # The csv module refuses a field over 131072 characters by default.
+    # The csv module refuses a field over 131072 characters by default;
+    # numpy would read the finite one, 0.111..., so the CSV fast path must not.
     src, data = tmp_path / "a.json", tmp_path / "big.csv"
     src.write_text(model_to_json(gen_boolean_fig1("a")))
     big = "1" * 200_000
-    for text, line in ((f"x1,x2\n0.5,0.5\n\n0.5,{big}\n", 4), (f"x1,{big}\n", 1)):
+    for text, line in ((f"x1,x2\n0.5,0.5\n\n0.5,{big}\n", 4), (f"x1,{big}\n", 1),
+                       (f"x1,x2\n0.5,0.{big}\n", 2)):
         data.write_text(text)
         assert cli.main(["predict", "--model", str(src), "--data", str(data)]) == 2
         assert json.loads(capsys.readouterr().err) == {

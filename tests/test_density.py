@@ -1,13 +1,20 @@
+import io
+import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from purefx import (AdditiveModel, DomainError, EffectTensor, FeatureBins,
+import purefx.density
+import purefx.model
+from purefx import (AdditiveModel, DomainError, EffectTensor, FeatureBins, cli,
                     dataset_from_csv,
                     density_to_json, estimate_density, gen_boolean_fig1,
-                    purify_model,
+                    model_to_json, purify_model,
                     required_subsets)
-
-import json
+from purefx.model import bin_dataset
 
 
 def boolean_model():
@@ -192,6 +199,102 @@ def test_blank_lines_before_the_header_are_skipped(tmp_path):
     p = tmp_path / "data.csv"
     p.write_text("\n\nx1,x2\n\n0.1,0.9\n")
     assert dataset_from_csv(p) == {"x1": ("0.1",), "x2": ("0.9",)}
+
+
+NUMERIC = AdditiveModel(
+    [FeatureBins("x1", "continuous", edges=(0.0, 0.5, 1.0)),
+     FeatureBins("x2", "continuous", edges=(0.25,))],
+    [EffectTensor(("x1", "x2"), np.arange(8.0).reshape(4, 2))])
+LABELLED = AdditiveModel(
+    [FeatureBins("c", "categorical", labels=("1", "2")),
+     FeatureBins("x1", "continuous", edges=(0.5,))],
+    [EffectTensor(("c", "x1"), np.arange(4.0).reshape(2, 2))])
+
+
+def test_numeric_csv_comes_back_as_float64_columns(tmp_path):
+    p = tmp_path / "data.csv"
+    p.write_text("x1,x2\n0.1,0.9\n0.8,0.2\n")
+    data = dataset_from_csv(p, NUMERIC)
+    assert {k: (v.dtype, v.tolist()) for k, v in data.items()} == {
+        "x1": (np.float64, [0.1, 0.8]), "x2": (np.float64, [0.9, 0.2])}
+    # A label may read as a number, so a categorical feature keeps strings.
+    p.write_text("x1,c\n0.1,1\n0.8,2\n")
+    assert dataset_from_csv(p, LABELLED) == {"x1": ("0.1", "0.8"),
+                                             "c": ("1", "2")}
+
+
+def _cli_outcome(tmp_path, model, text, with_model):
+    """Exit code, stdout and stderr of `density --weights empirical` and of
+    `predict` over the CSV ``text``, and the cells ``bin_dataset`` returned;
+    the CLI reads the CSV with the model or, as a reference, without."""
+    src, data = tmp_path / "m.json", tmp_path / "data.csv"
+    src.write_text(model_to_json(model))
+    data.write_bytes(text.encode("utf-8"))
+    cells = []
+
+    def recording(model, data):
+        out = bin_dataset(model, data)
+        cells.append({name: c.tolist() for name, c in out.items()})
+        return out
+
+    outcome = []
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a CLI process would print it
+        mp.setattr(purefx.density, "bin_dataset", recording)
+        mp.setattr(purefx.model, "bin_dataset", recording)
+        if not with_model:
+            mp.setattr(cli, "dataset_from_csv",
+                       lambda path, model: dataset_from_csv(path))
+        for argv in (["density", "--weights", "empirical"], ["predict"]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([*argv, "--model", str(src), "--data", str(data)])
+            outcome.append((code, out.getvalue(), err.getvalue()))
+    return outcome, cells
+
+
+# Bodies where numpy and the csv module could read a file apart.  On each,
+# numpy's reader either raises, so the csv module decides, or gives the
+# values float() gives.
+TRICKY = [
+    "x1,x2\n1_000,0.5\n", "x1,x2\n,0.5\n", "x1,x2\n0.5,0.5,\n",
+    "x1,x2\n# note\n0.5,0.5\n", "x1,x2\n0.5,0.5\n0.7\n", 'x1,x2\n"0.5",0.5\n',
+    "x1,x2\n0.5,0.5\n  \n", "x1,x2\n0.\x0c5,0.5\n", "x1,x2\n0.5,0.5\r0.7,0.1\n",
+    "x1,x2\n\u0660.\u0665,0.5\n", "x1,x2\n 1.5,0.5\n", "x1,x2\nnan,0.5\n",
+    "x1,x2\n0.5,1e400\n", "x1,x2\n+1,.5\n", "x1,x2\r\n1E5,0.5\r\n0.2,0.3\r\n",
+    "x1,x2\n1\x1c,0.5\n", "x1,x2\n0.5,\xa00.3\u2028\n",
+    "x1,x2\n0.5,0.5\n\n\n0.7,0.1",
+    "x1,x2\n0.5,0.5,0.5\n", "x1,x2,x3\n0.5,0.5\n",
+    "x1,x2\n", "x1,x2\n\r\n", "x1,x1\n0.5,0.5\n", "\ufeffx2,x1\n0.5,0.7\n",
+    "x1,x2,name\n0.5,0.5,abc\n", "x1,x2,n\n0.5,0.5,nan\n", "x1,x2\n0.5,0.5\n\x00\n",
+    '"x1\nz",x2\n0.5,0.5\n',
+]
+
+
+@pytest.mark.parametrize("model, text", [(NUMERIC, t) for t in TRICKY] + [
+    (LABELLED, "x1,c\n0.2,1\n0.7,2\n"), (LABELLED, "c,x1\n2,0.2\n1,0.7\n")],
+    ids=[f"tricky{i}" for i in range(len(TRICKY))] + ["labels0", "labels1"])
+def test_reading_with_the_model_gives_what_reading_without_gives(tmp_path,
+                                                                  model, text):
+    want = _cli_outcome(tmp_path, model, text, with_model=False)
+    assert _cli_outcome(tmp_path, model, text, with_model=True) == want
+
+
+_CELL = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+         | st.floats(-2, 2).map(lambda v: f"{v:.6f}")
+         | st.integers(-10 ** 6, 10 ** 6).map(str)
+         | st.sampled_from(["nan", "inf", " 1.5", "+1", ".5", "1E5", "-0",
+                            "1e400", "1_0", "", "a"]))
+
+
+@given(rows=st.lists(st.tuples(_CELL, _CELL), max_size=6),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_random_numeric_csv_reads_alike_with_the_model(tmp_path_factory, rows,
+                                                       newline):
+    tmp_path = tmp_path_factory.mktemp("csv")
+    text = newline.join(["x1,x2", *map(",".join, rows)]) + newline
+    want = _cli_outcome(tmp_path, NUMERIC, text, with_model=False)
+    assert _cli_outcome(tmp_path, NUMERIC, text, with_model=True) == want
 
 
 def test_density_json_round_trip():
