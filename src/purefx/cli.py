@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
-import gc
 import io
 import json
 import math
@@ -19,11 +18,6 @@ import sys
 
 # Before numpy loads: no BLAS call here gains from OpenBLAS's spinning pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-if __name__ == "__main__":
-    # A CLI process leaves a few hundred objects in cycles, nearly all the
-    # argument parser's, and exits; the cyclic collector's passes, over
-    # numpy's import above all, would cost time and free nothing.
-    gc.disable()
 
 from .density import MODES, dataset_from_csv, density_to_json, estimate_density
 from .engine import CHECK_TOL, MAX_PASSES, PURIFY_TOL, check_purity, purify_model
@@ -252,7 +246,6 @@ def run() -> None:
     An exception from ``main()`` (``--help``'s ``SystemExit`` included) or
     from a flush takes the interpreter's normal exit, which reports it as before.
     """
-    gc.disable()  # as under `python -m purefx.cli`; numpy is loaded by now
     code = main()
     try:
         # A standard stream is None when its descriptor was closed at start.

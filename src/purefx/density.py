@@ -76,13 +76,14 @@ def dataset_from_csv(path, model: AdditiveModel | None = None
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         text = fh.read()
-    if model is not None:
-        columns = _float_columns(text, model)
-        if columns is not None:
-            return columns
-    reader = csv.reader(io.StringIO(text, newline=""))
+    stream = io.StringIO(text, newline="")
+    reader = csv.reader(stream)
     try:
         header = next(filter(None, reader), None)
+        if model is not None and header is not None:
+            columns = _float_columns(header, text[stream.tell():], model)
+            if columns is not None:
+                return columns
         rows = [r for r in reader if r]
     except csv.Error as exc:
         raise DomainError(f"{path}, line {reader.line_num}: {exc}") from None
@@ -100,25 +101,19 @@ def dataset_from_csv(path, model: AdditiveModel | None = None
     return dict(zip(header, columns))
 
 
-def _float_columns(text: str, model: AdditiveModel) -> dict | None:
-    """The columns of ``text`` as float64 arrays, or None wherever the csv
-    module must decide: a header it refuses, a repeated or categorical
+def _float_columns(header: list[str], body: str, model: AdditiveModel
+                   ) -> dict[str, np.ndarray] | None:
+    """The columns of the CSV ``body`` under ``header`` as float64 arrays, or
+    None wherever the csv module must decide: a repeated or categorical
     feature name, no rows, a line over its field size limit, one of the
     separators \\x1c-\\x1f, or a body numpy cannot parse into one finite
     column per name."""
-    stream = io.StringIO(text, newline="")
-    try:
-        header = next(filter(None, csv.reader(stream)), None)
-    except csv.Error:
-        return None
-    body = text[stream.tell():]
     # The csv module's lines: it ends one at "\r", "\n" or "\r\n" (the empty
     # line this makes inside "\r\n" is skipped, as blank lines are).
     lines = body.replace("\r", "\n").split("\n")
     categorical = {n for n, b in model.bins.items() if b.kind == "categorical"}
-    if (header is None or len(set(header)) < len(header)
-            or not categorical.isdisjoint(header) or not any(lines)
-            or max(map(len, lines)) > csv.field_size_limit()
+    if (len(set(header)) < len(header) or not categorical.isdisjoint(header)
+            or not any(lines) or max(map(len, lines)) > csv.field_size_limit()
             # numpy strips these separators from around a number; float() does not
             or any(c in body for c in "\x1c\x1d\x1e\x1f")):
         return None

@@ -202,12 +202,9 @@ def model_from_json(text: str) -> AdditiveModel:
             with _entry("effect", i, e):
                 _keys(e, {"vars", "values"}, "an effect")
                 key = tuple(_list(e, "vars"))
-                values = np.array(e["values"])
-                # numpy reads a true among numbers as 1 and a false as 0, so
-                # only a tensor holding a 0 or a 1 is searched for booleans.
-                if values.dtype.kind not in "iuf" or (
-                        ((values == 0) | (values == 1)).any() and bool in map(
-                            type, np.array(e["values"], dtype=object).flat)):
+                values = np.array(e["values"])  # numpy reads a true among numbers as 1
+                if values.dtype.kind not in "iuf" or bool in map(
+                        type, np.array(e["values"], dtype=object).flat):
                     raise DomainError("values must be numbers")
                 effects.append(EffectTensor(key, values))
         return AdditiveModel(bins, effects)

@@ -141,34 +141,6 @@ def test_cli_process_runs_one_thread():
     assert res.stdout == "1\n", res.stderr
 
 
-def test_import_cli_leaves_the_cyclic_gc_on():
-    # Only a CLI process turns it off; library users and tests keep it.
-    res = fresh_python("-c", "import purefx.cli, gc; print(gc.isenabled())")
-    assert res.stdout == "True\n", res.stderr
-
-
-def test_cli_module_loads_numpy_without_the_cyclic_gc():
-    # `python -m purefx.cli` turns it off before numpy loads: no collection
-    # runs once numpy has started to import.
-    res = fresh_python("-c", "import gc, runpy, sys\n"
-                       "seen = []\n"
-                       "gc.callbacks.append("
-                       "lambda *_: seen.append('numpy' in sys.modules))\n"
-                       "sys.argv = ['purefx', '--help']\n"
-                       "try: runpy.run_module('purefx.cli', run_name='__main__')\n"
-                       "except SystemExit: print(gc.isenabled(), any(seen))")
-    assert res.stdout.endswith("\nFalse False\n"), res.stderr
-
-
-def test_console_script_runs_without_the_cyclic_gc():
-    res = fresh_python("-c", "import gc, sys\n"
-                       "from purefx.cli import run\n"
-                       "sys.argv = ['purefx', '--help']\n"
-                       "try: run()\n"
-                       "except SystemExit: print(gc.isenabled())")
-    assert res.stdout.endswith("\nFalse\n"), res.stderr
-
-
 def test_cli_module_runs_without_warnings():
     res = fresh_python("-W", "error", "-m", "purefx.cli", "--help")
     assert (res.returncode, res.stderr) == (0, "")

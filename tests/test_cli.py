@@ -434,25 +434,6 @@ def test_malformed_model_json_exits_2(doc, message):
     assert err["message"].startswith(message)
 
 
-@pytest.mark.parametrize("vars, values, code", [
-    (["x1"], [0.5, True], 2),
-    (["c", "x1"], [[1.0, False]], 2),
-    (["x1"], [1.0, 0.0], 0),
-])
-def test_a_boolean_beside_numbers_exits_2(tmp_path, capsys, vars, values, code):
-    # numpy reads true as 1 and false as 0, so only a tensor holding a 0 or
-    # a 1 is searched for booleans; a 0.0 or a 1.0 alone is no boolean.
-    src = tmp_path / "m.json"
-    src.write_text(json.dumps({
-        "features": [{"name": "c", "kind": "categorical", "labels": ["a"]},
-                     FEATURE],
-        "effects": [{"vars": vars, "values": values}]}))
-    assert cli.main(["check", "--model", str(src)]) == code
-    if code:
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "DomainError", "message": "effect 0: values must be numbers"}
-
-
 @pytest.mark.parametrize("flag, doc, message", [
     ("--ensemble", {"trees": [SPLIT, {**SPLIT, "split": 5}]},
      "tree 1: a split feature is a string, not 5"),
