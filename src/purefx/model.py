@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bins import FeatureBins, bin_index
+from .bins import FeatureBins, _column, bin_index
 from .errors import DomainError
 
 Subset = tuple[str, ...]
@@ -17,12 +17,6 @@ Subset = tuple[str, ...]
 def canonical_order(u: Subset) -> tuple[int, Subset]:
     """Sort key of the canonical subset order: by order, then by vars."""
     return (len(u), u)
-
-
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -39,7 +33,8 @@ class EffectTensor:
         v = tuple(self.vars)
         if list(v) != sorted(set(v)):
             raise DomainError(f"effect vars must be sorted and distinct: {v}")
-        arr = _frozen(self.values)
+        arr = np.array(self.values, dtype=float)
+        arr.setflags(write=False)
         if arr.ndim != len(v):
             raise DomainError(
                 f"effect {v}: tensor rank {arr.ndim} does not match {len(v)} vars"
@@ -91,38 +86,33 @@ class AdditiveModel:
 
 
 def bin_dataset(model: AdditiveModel, data: dict) -> dict[str, np.ndarray]:
-    """Cell indices of ``data`` for every feature that some effect uses.
-
-    ``data`` maps each feature name to one value or to a column of values;
-    the columns of features no effect uses are not read.  The binned columns
-    must all have one length, and a single value is not mixed with columns.
+    """Cell indices of ``data``, a dict of columns, for every feature that
+    some effect uses; the columns of features no effect uses are not read.
+    The binned columns must all have one length.
     """
     cells: dict[str, np.ndarray] = {}
     for name in dict.fromkeys(name for u in model.effects for name in u):
         if name not in data:
             raise DomainError(f"data is missing feature {name!r}")
         cells[name] = bin_index(model.bins[name], data[name])
-    lengths = {name: len(c) if c.ndim else "one value" for name, c in cells.items()}
+    lengths = {name: len(c) for name, c in cells.items()}
     if len(set(lengths.values())) > 1:
         raise DomainError(f"columns differ in length: {lengths}")
     return cells
 
 
-def predict(model: AdditiveModel, points: dict) -> float | np.ndarray:
-    """Sum every effect tensor's entry at the cells of ``points``.
-
-    ``points`` maps each feature to one value, giving a float, or each to a
-    column of values of one length, giving an array of one prediction per
-    row.  Effects are added in ``model.effects`` order, so every row sums
-    exactly as a one-point call.
+def predict(model: AdditiveModel, points: dict) -> np.ndarray:
+    """One prediction per row of ``points``, a dict of columns: the sum of
+    every effect tensor's entry at the row's cells, added in
+    ``model.effects`` order.  An intercept-only model bins no column and
+    gives one prediction per row of the first given column, or none.
     """
     cells = bin_dataset(model, points)
-    shape = (next(iter(cells.values())).shape if cells
-             else np.shape(next(iter(points.values()), 0.0)))
-    total = np.zeros(shape)
+    name, col = next(iter(cells.items() or points.items()), ("", ()))
+    total = np.zeros(len(_column(name, np.asarray(col))))
     for eff in model.effects.values():
         total = total + eff.values[tuple(cells[name] for name in eff.vars)]
-    return total if total.ndim else float(total)
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -40,6 +40,9 @@ class TreeNode:
 
     def __post_init__(self):
         if self.is_leaf:
+            if (self.feature, self.threshold, self.label_set, self.left,
+                    self.right) != (None,) * 5:
+                raise DomainError("a node is a leaf or a split, not both")
             if not math.isfinite(self.value):
                 raise DomainError(f"a leaf must be finite, not {self.value!r}")
             return
@@ -52,6 +55,9 @@ class TreeNode:
             raise DomainError("split node needs exactly one of threshold / label set")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise DomainError(f"non-finite threshold on feature {self.feature!r}")
+        if isinstance(self.label_set, str):
+            raise DomainError(f"split on feature {self.feature!r}: a label set "
+                              f"is a set of strings, not {self.label_set!r}")
         for label in self.label_set or ():
             if not isinstance(label, str):
                 raise DomainError(f"split on feature {self.feature!r}: "
@@ -62,6 +68,10 @@ class TreeNode:
 class TreeEnsemble:
     trees: tuple[TreeNode, ...]
     base_score: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.base_score):
+            raise DomainError(f"base_score must be finite, not {self.base_score!r}")
 
 
 def _splits(tree: TreeNode):
@@ -184,7 +194,4 @@ def ensemble_from_json(text: str) -> TreeEnsemble:
         for i, tree in enumerate(trees):
             with _entry("tree", i, tree):
                 nodes.append(_node_from_dict(tree))
-    base_score = _number(doc.get("base_score", 0.0), "base_score")
-    if not math.isfinite(base_score):
-        raise DomainError(f"base_score must be finite, not {base_score!r}")
-    return TreeEnsemble(trees=tuple(nodes), base_score=base_score)
+    return TreeEnsemble(tuple(nodes), _number(doc.get("base_score", 0.0), "base_score"))

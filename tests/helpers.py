@@ -377,7 +377,7 @@ def grid_points(model):
 
 def grid_predictions(model):
     """Predictions at ``grid_points``, in order, from one columnar call."""
-    return np.atleast_1d(predict(model, columns(list(grid_points(model)))))
+    return predict(model, columns(list(grid_points(model))))
 
 
 def columns(points):

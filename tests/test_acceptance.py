@@ -44,9 +44,8 @@ def test_acceptance_01_fig1_canonicalization():
             worst = max(worst, float(np.max(np.abs(
                 out.effects[u].values - target.effects[u].values))))
     points = [{"x1": a, "x2": b} for a in (0, 1) for b in (0, 1)]
-    agree = all(
-        len({predict(gen_boolean_fig1(r), p) for r in "abcd"}) == 1
-        for p in points)
+    agree = len({tuple(predict(gen_boolean_fig1(r), columns(points)).tolist())
+                 for r in "abcd"}) == 1
     report(1, worst <= 1e-12 and agree,
            f"rows a/b/c purify to row d (max dev {worst:.2e}); "
            f"all rows agree at the 4 Boolean points")

@@ -48,8 +48,9 @@ def test_readme_library_examples_run_as_commented():
                      namespace)
     (c_pass, passed), (c_pred, pred), (c_preds, preds) = shown
     assert repr(passed) == c_pass == "True"
-    assert c_pred == "unchanged from the input model"
-    assert pred == purefx.predict(namespace["model"], {"x1": 1, "x2": 1})
+    assert c_pred == "array([-1.]), as the input model"
+    assert repr(pred) == repr(purefx.predict(
+        namespace["model"], {"x1": [1], "x2": [1]})) == "array([-1.])"
     assert repr(preds) == c_preds == "array([ 0., -1.,  0.,  0.])"
 
 

@@ -10,17 +10,33 @@ from helpers import representative
 
 def test_value_below_only_edge():
     b = FeatureBins("x", "continuous", edges=(0.5,))
-    assert bin_index(b, 0.2) == 0
+    assert bin_index(b, [0.2]).tolist() == [0]
 
 
 def test_value_on_edge_goes_to_upper_cell():
     b = FeatureBins("x", "continuous", edges=(0.5,))
-    assert bin_index(b, 0.5) == 1
+    assert bin_index(b, [0.5]).tolist() == [1]
 
 
 def test_categorical_lookup():
     b = FeatureBins("x", "categorical", labels=("a", "b"))
-    assert bin_index(b, "b") == 1
+    assert bin_index(b, ["b"]).tolist() == [1]
+
+
+@pytest.mark.parametrize("value, ndim", [(0.2, 0), ("green", 0), ([[0.1]], 2)])
+def test_data_is_one_column_per_feature(value, ndim):
+    # A bare value is not read as one row, nor a bare string as its letters.
+    m = gen_boolean_fig1("a")
+    data = {"x1": value, "x2": [0.1]}
+    color = FeatureBins("x1", "categorical", labels=("green",))
+    for call in (lambda: bin_index(m.bins["x1"], value),
+                 lambda: bin_index(color, value),
+                 lambda: predict(m, data),
+                 lambda: estimate_density(m, "empirical", data)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == (
+            f"feature 'x1': data is one column, not a {ndim}-D array")
 
 
 @pytest.mark.parametrize("name", [5, None, ["x"]])
@@ -31,8 +47,9 @@ def test_feature_name_must_be_a_string(name):
 
 def test_unknown_label_names_feature_and_label():
     b = FeatureBins("color", "categorical", labels=("blue", "red"))
-    with pytest.raises(DomainError, match="color.*green"):
-        bin_index(b, "green")
+    with pytest.raises(DomainError) as exc:
+        bin_index(b, ["green"])
+    assert str(exc.value) == "feature 'color', row 0: unknown label 'green'"
 
 
 def test_non_finite_value_names_feature_and_row():
@@ -46,7 +63,7 @@ def test_integer_too_large_for_a_float_names_feature_and_row():
     # A CSV never holds one: float("1e400") is inf, refused as non-finite.
     b = FeatureBins("x1", "continuous", edges=(0.5,))
     m = gen_boolean_fig1("a")
-    for call, row in ((lambda: bin_index(b, 10 ** 400), 0),
+    for call, row in ((lambda: bin_index(b, [10 ** 400]), 0),
                       (lambda: bin_index(b, [0.1, 10 ** 400]), 1),
                       (lambda: predict(m, {"x1": [0.1, 10 ** 400],
                                            "x2": [0.2, 0.3]}), 1),
@@ -104,7 +121,7 @@ def test_labels_must_increase(labels):
 def test_representative_lands_in_its_cell():
     b = FeatureBins("x", "continuous", edges=(-1.0, 0.0, 2.5))
     for cell in range(b.n_cells):
-        assert bin_index(b, representative(b, cell)) == cell
+        assert bin_index(b, [representative(b, cell)]).tolist() == [cell]
 
 
 @given(
@@ -116,7 +133,7 @@ def test_representative_lands_in_its_cell():
 )
 def test_cells_partition_the_reals(edges, value):
     b = FeatureBins("x", "continuous", edges=tuple(sorted(edges)))
-    cell = bin_index(b, value)
+    [cell] = bin_index(b, [value]).tolist()
     assert 0 <= cell < b.n_cells
     # exactly one half-open cell contains the value
     lo = -np.inf if cell == 0 else b.edges[cell - 1]

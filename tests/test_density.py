@@ -11,7 +11,7 @@ import purefx.density
 import purefx.model
 from purefx import (AdditiveModel, DomainError, EffectTensor, FeatureBins, cli,
                     dataset_from_csv,
-                    density_to_json, estimate_density, gen_boolean_fig1,
+                    density_to_json, estimate_density,
                     model_to_json, purify_model,
                     required_subsets)
 from purefx.model import bin_dataset
@@ -108,16 +108,6 @@ def test_counting_modes_require_data():
         with pytest.raises(DomainError, match="requires a nonempty dataset"):
             estimate_density(boolean_model(), mode,
                              {"x1": [], "x2": []})
-
-
-@pytest.mark.parametrize("mode", ["empirical", "laplace"])
-def test_single_values_count_as_one_row(mode):
-    model = gen_boolean_fig1("a")
-    one = estimate_density(model, mode, {"x1": 0.3, "x2": 0.7})
-    row = estimate_density(model, mode, {"x1": [0.3], "x2": [0.7]})
-    assert one.keys() == row.keys()
-    for u in row:
-        assert np.array_equal(one[u], row[u])
 
 
 @pytest.mark.parametrize("mode", ["uniform", "empirical", "laplace"])
@@ -221,6 +211,17 @@ def test_numeric_csv_comes_back_as_float64_columns(tmp_path):
     p.write_text("x1,c\n0.1,1\n0.8,2\n")
     assert dataset_from_csv(p, LABELLED) == {"x1": ("0.1", "0.8"),
                                              "c": ("1", "2")}
+
+
+def test_a_repeated_header_name_is_named_before_an_unreadable_line(tmp_path):
+    # The header is checked once, before either reader reads a row; line 2
+    # is over the csv module's field size limit.
+    p = tmp_path / "data.csv"
+    p.write_text("x1,x1,x2\n0.5,0.5,0." + "1" * 200_000 + "\n")
+    for model in (None, NUMERIC):
+        with pytest.raises(DomainError) as exc:
+            dataset_from_csv(p, model)
+        assert str(exc.value) == f"{p}: feature 'x1' repeats in the header"
 
 
 def _cli_outcome(tmp_path, model, text, with_model):

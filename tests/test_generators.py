@@ -10,7 +10,7 @@ from purefx import (AdditiveModel, DomainError, check_purity,
                     purify_model)
 from purefx.generators import unit_grid_bins, unit_grid_midpoints
 
-from helpers import uniform_density
+from helpers import columns, uniform_density
 
 
 def boolean_points(names):
@@ -95,7 +95,8 @@ def test_wright_purification_preserves_truth_table():
         model = gen_wright(name)
         out, _ = purify_model(model, uniform_density(model))
         for p in boolean_points(("snp1", "snp2")):
-            assert predict(out, p) == pytest.approx(predict(model, p), abs=1e-12)
+            row = columns([p])
+            assert predict(out, row) == pytest.approx(predict(model, row), abs=1e-12)
 
 
 def test_no_interaction_generator_has_zero_pure_interaction():
@@ -122,8 +123,8 @@ def test_multiplicative_predicts_the_product_formula():
     for i in range(n):
         for j in range(n):
             p = {"x1": mid[i], "x2": mid[j]}
-            assert predict(m, p) == pytest.approx(
-                mid[i] + mid[j] + mid[i] * mid[j], abs=1e-12)
+            assert predict(m, columns([p])) == pytest.approx(
+                [mid[i] + mid[j] + mid[i] * mid[j]], abs=1e-12)
 
 
 def test_multiplicative_purified_form_is_shift_invariant():

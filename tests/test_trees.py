@@ -239,7 +239,8 @@ def test_ingested_model_reproduces_ensemble_everywhere():
         m = ingest_ensemble(ens)
         feats = sorted(m.bins) or list(FEATURES)
         for p in random_points(rng, feats, 100):
-            assert predict(m, p) == pytest.approx(ensemble_eval(ens, p), abs=1e-12)
+            assert predict(m, columns([p])) == pytest.approx(
+                [ensemble_eval(ens, p)], abs=1e-12)
 
 
 def test_fig1a_encoded_as_trees_matches_generator():
@@ -256,7 +257,8 @@ def test_fig1a_encoded_as_trees_matches_generator():
     base = 0.25
     m = ingest_ensemble(TreeEnsemble(trees, base_score=base))
     for p in ({"x1": a, "x2": b} for a in (0, 1) for b in (0, 1)):
-        assert predict(m, p) == pytest.approx(predict(gen, p), abs=1e-12)
+        row = columns([p])
+        assert predict(m, row) == pytest.approx(predict(gen, row), abs=1e-12)
     assert np.array_equal(m.effects[("x1", "x2")].values,
                           gen.effects[("x1", "x2")].values)
 
@@ -286,8 +288,8 @@ def test_ingest_then_purify_preserves_predictions():
         w = uniform_density(m)
         out, _ = purify_model(m, w)
         for p in grid_points(m):
-            assert predict(out, p) == pytest.approx(
-                ensemble_eval(ens, p), abs=1e-10)
+            assert predict(out, columns([p])) == pytest.approx(
+                [ensemble_eval(ens, p)], abs=1e-10)
         assert check_purity(out, w)["pass"]
 
 
@@ -325,6 +327,31 @@ def test_split_node_validation():
                  left=leaf(0.0), right=leaf(1.0))
     with pytest.raises(DomainError, match="a split feature is a string"):
         TreeNode(feature=5, threshold=0.5, left=leaf(0.0), right=leaf(1.0))
+
+
+def test_nodes_the_json_reader_refuses_are_refused_when_built():
+    # Ingesting the first would drop its split; the second would split on
+    # the labels 'a' and 'b'.
+    with pytest.raises(DomainError) as exc:
+        TreeNode(value=1.0, feature="x", threshold=0.5,
+                 left=leaf(5.0), right=leaf(7.0))
+    assert str(exc.value) == "a node is a leaf or a split, not both"
+    with pytest.raises(DomainError) as exc:
+        TreeNode(feature="c", label_set="ab", left=leaf(5.0), right=leaf(7.0))
+    assert str(exc.value) == (
+        "split on feature 'c': a label set is a set of strings, not 'ab'")
+
+
+def test_base_score_is_checked_as_a_leaf_is():
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(DomainError) as exc:
+            TreeEnsemble((leaf(1.0),), base_score=bad)
+        assert str(exc.value) == f"base_score must be finite, not {bad!r}"
+    with pytest.raises(TypeError) as exc:
+        TreeEnsemble((leaf(1.0),), base_score="0.25")
+    with pytest.raises(TypeError) as leaf_exc:
+        leaf("0.25")
+    assert str(exc.value) == str(leaf_exc.value)
 
 
 @pytest.mark.parametrize("label", [None, 5, -1, 0.5, True, float("nan")])
